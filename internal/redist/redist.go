@@ -108,20 +108,50 @@ func overlap(a0, a1, b0, b1 int) int {
 // 8·N·(columns of overlap) for float64 elements. Both distributions must
 // describe the same matrix size.
 func CommMatrix(src, dst Dist) ([][]int64, error) {
-	if src.N != dst.N {
-		return nil, fmt.Errorf("redist: distribution sizes differ: %d vs %d", src.N, dst.N)
+	plan, err := AppendPlan(nil, src, dst)
+	if err != nil {
+		return nil, err
 	}
 	out := make([][]int64, src.P)
 	for i := range out {
 		out[i] = make([]int64, dst.P)
-		slo, shi := src.Block(i)
-		for j := 0; j < dst.P; j++ {
-			dlo, dhi := dst.Block(j)
-			cols := overlap(slo, shi, dlo, dhi)
-			out[i][j] = int64(cols) * int64(src.N) * 8
-		}
+	}
+	for _, t := range plan {
+		out[t.Src][t.Dst] = t.Bytes
 	}
 	return out, nil
+}
+
+// Transfer is one nonzero entry of a communication matrix: processor Src of
+// the source distribution sends Bytes to processor Dst of the destination.
+type Transfer struct {
+	Src, Dst int
+	Bytes    int64
+}
+
+// AppendPlan appends the nonzero entries of CommMatrix(src, dst) to plan in
+// row-major order and returns the extended slice. Both distributions cut
+// the same column range into ordered blocks, so the overlaps form a
+// staircase: at most src.P+dst.P−1 entries, found by one sweep over both
+// block lists instead of the dense matrix's src.P·dst.P cells.
+func AppendPlan(plan []Transfer, src, dst Dist) ([]Transfer, error) {
+	if src.N != dst.N {
+		return plan, fmt.Errorf("redist: distribution sizes differ: %d vs %d", src.N, dst.N)
+	}
+	j := 0
+	for i := 0; i < src.P; i++ {
+		slo, shi := src.Block(i)
+		for ; j < dst.P; j++ {
+			dlo, dhi := dst.Block(j)
+			if cols := overlap(slo, shi, dlo, dhi); cols > 0 {
+				plan = append(plan, Transfer{Src: i, Dst: j, Bytes: int64(cols) * int64(src.N) * 8})
+			}
+			if dhi > shi {
+				break // block j continues into source block i+1
+			}
+		}
+	}
+	return plan, nil
 }
 
 // TotalBytes sums a communication matrix.

@@ -201,3 +201,47 @@ func TestFloat64Matrix(t *testing.T) {
 		t.Errorf("conversion wrong: %v", f)
 	}
 }
+
+// TestAppendPlanIsSparseCommMatrix checks the sparse plan against a dense
+// overlap computed cell by cell: the same nonzero entries, in row-major
+// order, at most pSrc+pDst−1 of them, appended after existing entries.
+func TestAppendPlanIsSparseCommMatrix(t *testing.T) {
+	for _, n := range []int{1, 7, 100, 3000} {
+		for pSrc := 1; pSrc <= 17 && pSrc <= n; pSrc++ {
+			for pDst := 1; pDst <= 17 && pDst <= n; pDst++ {
+				src, _ := NewDist(n, pSrc)
+				dst, _ := NewDist(n, pDst)
+				head := []Transfer{{Src: -1}}
+				plan, err := AppendPlan(head, src, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if plan[0].Src != -1 {
+					t.Fatal("AppendPlan overwrote existing entries")
+				}
+				plan = plan[1:]
+				if len(plan) > pSrc+pDst-1 {
+					t.Fatalf("n=%d %d->%d: %d entries, want <= %d", n, pSrc, pDst, len(plan), pSrc+pDst-1)
+				}
+				k := 0
+				for i := 0; i < pSrc; i++ {
+					slo, shi := src.Block(i)
+					for j := 0; j < pDst; j++ {
+						dlo, dhi := dst.Block(j)
+						want := int64(overlap(slo, shi, dlo, dhi)) * int64(n) * 8
+						if want == 0 {
+							continue
+						}
+						if k >= len(plan) || plan[k] != (Transfer{Src: i, Dst: j, Bytes: want}) {
+							t.Fatalf("n=%d %d->%d: entry %d is %v, want {%d %d %d}", n, pSrc, pDst, k, plan[k:], i, j, want)
+						}
+						k++
+					}
+				}
+				if k != len(plan) {
+					t.Fatalf("n=%d %d->%d: %d extra entries", n, pSrc, pDst, len(plan)-k)
+				}
+			}
+		}
+	}
+}

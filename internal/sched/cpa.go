@@ -14,58 +14,6 @@ type CPA struct{}
 func (CPA) Name() string { return "CPA" }
 
 // Allocate implements Algorithm.
-func (CPA) Allocate(g *dag.Graph, clusterSize int, cost dag.CostFunc) []int {
-	return cpaLoop(g, clusterSize, cost, nil)
-}
-
-// growthConstraint, when non-nil, vetoes growing a task's allocation; it
-// receives the task and its current allocation. HCPA and MCPA are CPA with
-// different growth constraints.
-type growthConstraint func(g *dag.Graph, alloc []int, task *dag.Task) bool
-
-// cpaLoop is the shared CPA-family allocation loop.
-func cpaLoop(g *dag.Graph, clusterSize int, cost dag.CostFunc, mayGrow growthConstraint) []int {
-	n := g.Len()
-	alloc := make([]int, n)
-	for i := range alloc {
-		alloc[i] = 1
-	}
-	if n == 0 {
-		return alloc
-	}
-	// Each iteration adds one processor somewhere, so n·N bounds the loop.
-	maxIter := n * clusterSize
-	for iter := 0; iter < maxIter; iter++ {
-		tcp := g.CriticalPathLength(alloc, cost, nil)
-		ta := g.AverageArea(alloc, cost, clusterSize)
-		if tcp <= ta {
-			break
-		}
-		cp := g.CriticalPath(alloc, cost, nil)
-
-		// Pick the critical-path task whose t(τ,p)/p drops the most when
-		// given one more processor (the original CPA benefit criterion).
-		best, bestGain := -1, 0.0
-		for _, id := range cp {
-			a := alloc[id]
-			if a >= clusterSize {
-				continue
-			}
-			task := g.Task(id)
-			if mayGrow != nil && !mayGrow(g, alloc, task) {
-				continue
-			}
-			gain := cost(task, a)/float64(a) - cost(task, a+1)/float64(a+1)
-			if gain > bestGain || (gain == bestGain && best >= 0 && id < best) {
-				if gain > 0 {
-					best, bestGain = id, gain
-				}
-			}
-		}
-		if best < 0 {
-			break // no critical-path task can usefully grow
-		}
-		alloc[best]++
-	}
-	return alloc
+func (a CPA) Allocate(g *dag.Graph, clusterSize int, cost dag.CostFunc) []int {
+	return allocate(a, g, clusterSize, cost)
 }

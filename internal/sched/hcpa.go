@@ -28,18 +28,5 @@ func (HCPA) Name() string { return "HCPA" }
 
 // Allocate implements Algorithm.
 func (h HCPA) Allocate(g *dag.Graph, clusterSize int, cost dag.CostFunc) []int {
-	floor := h.MinEfficiency
-	if floor <= 0 {
-		floor = DefaultMinEfficiency
-	}
-	mayGrow := func(g *dag.Graph, alloc []int, task *dag.Task) bool {
-		p := alloc[task.ID] + 1
-		t1 := cost(task, 1)
-		tp := cost(task, p)
-		if tp <= 0 {
-			return false
-		}
-		return t1/(float64(p)*tp) >= floor
-	}
-	return cpaLoop(g, clusterSize, cost, mayGrow)
+	return allocate(h, g, clusterSize, cost)
 }

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"sort"
-
-	"repro/internal/dag"
-)
+import "repro/internal/dag"
 
 // MapSchedule is the mapping phase shared by the CPA family: list scheduling
 // in decreasing bottom-level order. Ready tasks (all predecessors mapped)
@@ -13,109 +9,7 @@ import (
 // free and its input data has arrived (predecessor finish plus
 // redistribution estimate from the comm model, when provided).
 func MapSchedule(g *dag.Graph, alloc []int, clusterSize int, cost dag.CostFunc, comm dag.CommFunc) *Schedule {
-	n := g.Len()
-	s := &Schedule{
-		Graph:     g,
-		Alloc:     append([]int(nil), alloc...),
-		Hosts:     make([][]int, n),
-		EstStart:  make([]float64, n),
-		EstFinish: make([]float64, n),
-	}
-	bl := g.BottomLevels(alloc, cost, comm)
-
-	avail := make([]float64, clusterSize) // per-processor next-free time
-	mapped := make([]bool, n)
-	nPredsLeft := make([]int, n)
-	for _, t := range g.Tasks {
-		nPredsLeft[t.ID] = t.InDegree()
-	}
-
-	// ready holds mappable tasks, picked by (bottom level desc, ID asc).
-	var ready []int
-	for _, id := range g.Entries() {
-		ready = append(ready, id)
-	}
-	pickReady := func() int {
-		best := -1
-		for _, id := range ready {
-			if best < 0 || bl[id] > bl[best] || (bl[id] == bl[best] && id < best) {
-				best = id
-			}
-		}
-		return best
-	}
-
-	type hostAvail struct {
-		host int
-		at   float64
-	}
-	for count := 0; count < n; count++ {
-		id := pickReady()
-		if id < 0 {
-			panic("sched: mapping ran out of ready tasks before mapping everything")
-		}
-		// Remove from ready list.
-		for i, r := range ready {
-			if r == id {
-				ready = append(ready[:i], ready[i+1:]...)
-				break
-			}
-		}
-		task := g.Task(id)
-		k := alloc[id]
-
-		// Earliest-available processors (ties by host ID for determinism).
-		hs := make([]hostAvail, clusterSize)
-		for h := range hs {
-			hs[h] = hostAvail{host: h, at: avail[h]}
-		}
-		sort.Slice(hs, func(a, b int) bool {
-			if hs[a].at != hs[b].at {
-				return hs[a].at < hs[b].at
-			}
-			return hs[a].host < hs[b].host
-		})
-		chosen := make([]int, k)
-		procReady := 0.0
-		for i := 0; i < k; i++ {
-			chosen[i] = hs[i].host
-			if hs[i].at > procReady {
-				procReady = hs[i].at
-			}
-		}
-		sort.Ints(chosen)
-
-		// Data-ready time from predecessors.
-		dataReady := 0.0
-		for _, p := range task.Preds() {
-			t := s.EstFinish[p]
-			if comm != nil {
-				t += comm(g.Task(p), task, alloc[p], k)
-			}
-			if t > dataReady {
-				dataReady = t
-			}
-		}
-
-		start := procReady
-		if dataReady > start {
-			start = dataReady
-		}
-		finish := start + cost(task, k)
-		s.Hosts[id] = chosen
-		s.EstStart[id] = start
-		s.EstFinish[id] = finish
-		for _, h := range chosen {
-			avail[h] = finish
-		}
-		mapped[id] = true
-
-		for _, succ := range task.Succs() {
-			nPredsLeft[succ]--
-			if nPredsLeft[succ] == 0 {
-				ready = append(ready, succ)
-			}
-		}
-	}
-	return s
+	sc := acquireScratch(g, clusterSize, cost)
+	defer releaseScratch(sc)
+	return sc.mapInto(alloc, comm).Clone()
 }

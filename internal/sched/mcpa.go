@@ -17,28 +17,6 @@ type MCPA struct{}
 func (MCPA) Name() string { return "MCPA" }
 
 // Allocate implements Algorithm.
-func (MCPA) Allocate(g *dag.Graph, clusterSize int, cost dag.CostFunc) []int {
-	levels, nLevels := g.Levels()
-	width := make([]int, nLevels)
-	for _, l := range levels {
-		width[l]++
-	}
-	mayGrow := func(g *dag.Graph, alloc []int, task *dag.Task) bool {
-		l := levels[task.ID]
-		cap := clusterSize / width[l]
-		if cap < 1 {
-			cap = 1
-		}
-		if alloc[task.ID] >= cap {
-			return false
-		}
-		total := 0
-		for _, other := range g.Tasks {
-			if levels[other.ID] == l {
-				total += alloc[other.ID]
-			}
-		}
-		return total < clusterSize
-	}
-	return cpaLoop(g, clusterSize, cost, mayGrow)
+func (m MCPA) Allocate(g *dag.Graph, clusterSize int, cost dag.CostFunc) []int {
+	return allocate(m, g, clusterSize, cost)
 }

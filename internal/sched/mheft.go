@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"sort"
-
-	"repro/internal/dag"
-)
+import "repro/internal/dag"
 
 // MHEFT is the Mixed-parallel HEFT baseline (M-HEFT), the algorithm HCPA
 // was originally evaluated against in [12]. Unlike the CPA family it is a
@@ -24,117 +20,11 @@ func (m MHEFT) Name() string { return "MHEFT" }
 
 // Build runs the one-phase scheduler and returns a validated schedule.
 func (m MHEFT) Build(g *dag.Graph, clusterSize int, cost dag.CostFunc, comm dag.CommFunc) (*Schedule, error) {
-	n := g.Len()
-	s := &Schedule{
-		Algorithm: m.Name(),
-		Graph:     g,
-		Alloc:     make([]int, n),
-		Hosts:     make([][]int, n),
-		EstStart:  make([]float64, n),
-		EstFinish: make([]float64, n),
-	}
-	cap := m.AllocCap
-	if cap <= 0 || cap > clusterSize {
-		cap = clusterSize
-	}
-
-	// Priorities: bottom levels at unit allocation.
-	ones := make([]int, n)
-	for i := range ones {
-		ones[i] = 1
-	}
-	bl := g.BottomLevels(ones, cost, comm)
-
-	avail := make([]float64, clusterSize)
-	nPredsLeft := make([]int, n)
-	for _, t := range g.Tasks {
-		nPredsLeft[t.ID] = t.InDegree()
-	}
-	var ready []int
-	ready = append(ready, g.Entries()...)
-
-	for mapped := 0; mapped < n; mapped++ {
-		// Highest bottom level first.
-		best := -1
-		for _, id := range ready {
-			if best < 0 || bl[id] > bl[best] || (bl[id] == bl[best] && id < best) {
-				best = id
-			}
-		}
-		if best < 0 {
-			panic("sched: MHEFT ran out of ready tasks")
-		}
-		for i, r := range ready {
-			if r == best {
-				ready = append(ready[:i], ready[i+1:]...)
-				break
-			}
-		}
-		task := g.Task(best)
-
-		// Hosts by availability (ties by ID).
-		type hostAvail struct {
-			host int
-			at   float64
-		}
-		hs := make([]hostAvail, clusterSize)
-		for h := range hs {
-			hs[h] = hostAvail{host: h, at: avail[h]}
-		}
-		sort.Slice(hs, func(a, b int) bool {
-			if hs[a].at != hs[b].at {
-				return hs[a].at < hs[b].at
-			}
-			return hs[a].host < hs[b].host
-		})
-
-		// Try every allocation size on the p earliest-available hosts and
-		// keep the earliest finish (ties favour fewer processors, which
-		// curbs gratuitous over-allocation).
-		bestP, bestStart, bestFinish := 0, 0.0, 0.0
-		for p := 1; p <= cap; p++ {
-			procReady := hs[p-1].at
-			dataReady := 0.0
-			for _, pr := range task.Preds() {
-				t := s.EstFinish[pr]
-				if comm != nil {
-					t += comm(g.Task(pr), task, s.Alloc[pr], p)
-				}
-				if t > dataReady {
-					dataReady = t
-				}
-			}
-			start := procReady
-			if dataReady > start {
-				start = dataReady
-			}
-			finish := start + cost(task, p)
-			if bestP == 0 || finish < bestFinish-1e-12 {
-				bestP, bestStart, bestFinish = p, start, finish
-			}
-		}
-
-		chosen := make([]int, bestP)
-		for i := 0; i < bestP; i++ {
-			chosen[i] = hs[i].host
-		}
-		sort.Ints(chosen)
-		s.Alloc[best] = bestP
-		s.Hosts[best] = chosen
-		s.EstStart[best] = bestStart
-		s.EstFinish[best] = bestFinish
-		for _, h := range chosen {
-			avail[h] = bestFinish
-		}
-		for _, succ := range task.Succs() {
-			nPredsLeft[succ]--
-			if nPredsLeft[succ] == 0 {
-				ready = append(ready, succ)
-			}
-		}
-	}
-	if err := s.Validate(clusterSize); err != nil {
+	sc := acquireScratch(g, clusterSize, cost)
+	defer releaseScratch(sc)
+	s, err := sc.BuildMHEFT(m, comm)
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	return s.Clone(), nil
 }

@@ -283,6 +283,28 @@ func TestBuildRejectsEmptyGraph(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsBadClusterSize checks that a cluster size below 1 is an
+// error on every entry point, the pooled wrappers and a bare Scratch alike,
+// never a panic.
+func TestBuildRejectsBadClusterSize(t *testing.T) {
+	g := chain(3)
+	for _, size := range []int{0, -1, -6} {
+		for _, algo := range []Algorithm{CPA{}, HCPA{}, MCPA{}, Sequential{}} {
+			if _, err := Build(algo, g, size, perfect, nil); err == nil {
+				t.Errorf("Build %s accepted cluster size %d", algo.Name(), size)
+			}
+			sc := NewScratch()
+			sc.Bind(g, size, perfect)
+			if _, err := sc.Build(algo, nil); err == nil {
+				t.Errorf("Scratch.Build %s accepted cluster size %d", algo.Name(), size)
+			}
+		}
+		if _, err := (MHEFT{}).Build(g, size, perfect, nil); err == nil {
+			t.Errorf("MHEFT.Build accepted cluster size %d", size)
+		}
+	}
+}
+
 func TestOrderSortsByStart(t *testing.T) {
 	g := chain(3)
 	s := MapSchedule(g, []int{1, 1, 1}, 4, perfect, nil)

@@ -15,6 +15,7 @@ package sched
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/dag"
 )
@@ -71,24 +72,30 @@ func (s *Schedule) Order() []int {
 // host-set shapes, precedence feasibility of the estimated timeline, and
 // that tasks overlapping in estimated time never share a processor.
 func (s *Schedule) Validate(clusterSize int) error {
-	return s.validate(clusterSize, nil)
+	m := markPool.Get().(*hostMarks)
+	defer markPool.Put(m)
+	return s.validate(clusterSize, m)
 }
 
-// validate is Validate with an optional scratch supplying the duplicate-host
-// check's storage (an epoch-stamped array instead of a per-task map), so the
-// scratch build path validates without allocating.
-func (s *Schedule) validate(clusterSize int, sc *Scratch) error {
+// hostMarks is the duplicate-host check's storage: one stamp per host,
+// emptied in O(1) by advancing the epoch, so validation allocates nothing
+// once the storage has grown to the cluster size.
+type hostMarks struct {
+	seen  []uint64
+	epoch uint64
+}
+
+var markPool = sync.Pool{New: func() any { return new(hostMarks) }}
+
+func (s *Schedule) validate(clusterSize int, m *hostMarks) error {
 	n := s.Graph.Len()
 	if len(s.Alloc) != n || len(s.Hosts) != n || len(s.EstStart) != n || len(s.EstFinish) != n {
 		return fmt.Errorf("sched %s: field lengths inconsistent with %d tasks", s.Algorithm, n)
 	}
-	var seen map[int]bool
-	if sc != nil {
-		if cap(sc.seenHost) < clusterSize {
-			sc.seenHost = make([]uint64, clusterSize)
-		}
-		sc.seenHost = sc.seenHost[:clusterSize]
+	if cap(m.seen) < clusterSize {
+		m.seen = make([]uint64, clusterSize)
 	}
+	m.seen = m.seen[:max(clusterSize, 0)]
 	for t := 0; t < n; t++ {
 		if s.Alloc[t] < 1 || s.Alloc[t] > clusterSize {
 			return fmt.Errorf("sched %s: task %d allocated %d processors (cluster has %d)",
@@ -98,26 +105,15 @@ func (s *Schedule) validate(clusterSize int, sc *Scratch) error {
 			return fmt.Errorf("sched %s: task %d has %d hosts but allocation %d",
 				s.Algorithm, t, len(s.Hosts[t]), s.Alloc[t])
 		}
-		if sc != nil {
-			sc.seenEpoch++
-		} else {
-			seen = make(map[int]bool, len(s.Hosts[t]))
-		}
+		m.epoch++
 		for _, h := range s.Hosts[t] {
 			if h < 0 || h >= clusterSize {
 				return fmt.Errorf("sched %s: task %d uses host %d out of range", s.Algorithm, t, h)
 			}
-			if sc != nil {
-				if sc.seenHost[h] == sc.seenEpoch {
-					return fmt.Errorf("sched %s: task %d uses host %d twice", s.Algorithm, t, h)
-				}
-				sc.seenHost[h] = sc.seenEpoch
-			} else {
-				if seen[h] {
-					return fmt.Errorf("sched %s: task %d uses host %d twice", s.Algorithm, t, h)
-				}
-				seen[h] = true
+			if m.seen[h] == m.epoch {
+				return fmt.Errorf("sched %s: task %d uses host %d twice", s.Algorithm, t, h)
 			}
+			m.seen[h] = m.epoch
 		}
 		if s.EstFinish[t] < s.EstStart[t] {
 			return fmt.Errorf("sched %s: task %d finishes before it starts", s.Algorithm, t)
@@ -184,23 +180,14 @@ type Algorithm interface {
 }
 
 // Build runs the full two-phase scheduler: the algorithm's allocation phase
-// followed by the shared list-scheduling mapping phase.
+// followed by the shared list-scheduling mapping phase. It runs on a pooled
+// Scratch and returns a detached copy of the scratch's schedule.
 func Build(algo Algorithm, g *dag.Graph, clusterSize int, cost dag.CostFunc, comm dag.CommFunc) (*Schedule, error) {
-	if g.Len() == 0 {
-		return nil, fmt.Errorf("sched %s: empty application", algo.Name())
-	}
-	if clusterSize < 1 {
-		return nil, fmt.Errorf("sched %s: cluster size %d", algo.Name(), clusterSize)
-	}
-	alloc := algo.Allocate(g, clusterSize, cost)
-	if len(alloc) != g.Len() {
-		return nil, fmt.Errorf("sched %s: allocation has %d entries for %d tasks",
-			algo.Name(), len(alloc), g.Len())
-	}
-	s := MapSchedule(g, alloc, clusterSize, cost, comm)
-	s.Algorithm = algo.Name()
-	if err := s.Validate(clusterSize); err != nil {
+	sc := acquireScratch(g, clusterSize, cost)
+	defer releaseScratch(sc)
+	s, err := sc.Build(algo, comm)
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	return s.Clone(), nil
 }

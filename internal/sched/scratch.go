@@ -3,23 +3,24 @@ package sched
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/dag"
 )
 
-// Scratch is the allocation-free scheduling path: it owns every buffer the
-// CPA-family allocation loops, the M-HEFT one-phase scheduler, the shared
+// Scratch is the scheduler's one implementation: it owns every buffer the
+// CPA-family allocation loop, the M-HEFT one-phase scheduler, the shared
 // mapping phase and schedule validation need, so repeated builds — the
 // robustness engine's Monte Carlo trials, campaign cells, service requests —
 // reuse storage instead of allocating it per schedule (the internal/simgrid
-// solver pattern, one layer up).
+// solver pattern, one layer up). Build, MapSchedule, MHEFT.Build and the
+// CPA family's Allocate run on a pooled Scratch and return detached copies.
 //
 // A Scratch additionally memoizes the bound cost function per (task, p):
 // CPA-family allocation loops evaluate the same configurations thousands of
 // times per build, and perturbed-model costs (exp/log/cos per call) dominate
 // the trial loop's profile. Memoization is transparent because cost models
-// are pure functions; every schedule a Scratch builds is bit-identical to
-// the one the allocating Build/MHEFT.Build path produces.
+// are pure functions.
 //
 // Usage: Bind once per (graph, cluster size, cost model) context, then Build
 // any number of algorithms against it — the memo persists across builds of
@@ -37,12 +38,15 @@ type Scratch struct {
 	memoEp   []uint64
 	memoCost dag.CostFunc // bound method value, created once
 
-	// per-graph caches (graphs are immutable once built).
-	cachedG *dag.Graph
-	topo    []int
-	entries []int
-	levels  []int
-	width   []int
+	// per-graph caches, keyed by the graph and its size: AddTask and
+	// AddEdge only ever grow a graph, so a mutated graph misses the cache.
+	cachedG     *dag.Graph
+	cachedLen   int
+	cachedEdges int
+	topo        []int
+	entries     []int
+	levels      []int
+	width       []int
 
 	// allocation phase
 	alloc []int
@@ -56,9 +60,7 @@ type Scratch struct {
 	hostsAt    []hostAvail
 	hostsFlat  []int
 
-	// validation
-	seenHost  []uint64
-	seenEpoch uint64
+	marks hostMarks // validation
 
 	// output schedule, reused across builds
 	out Schedule
@@ -76,21 +78,48 @@ func NewScratch() *Scratch {
 	return sc
 }
 
+// scratchPool recycles the scratches behind the package's allocating entry
+// points.
+var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
+
+// acquireScratch draws a pooled scratch and binds it.
+func acquireScratch(g *dag.Graph, clusterSize int, cost dag.CostFunc) *Scratch {
+	sc := scratchPool.Get().(*Scratch)
+	sc.Bind(g, clusterSize, cost)
+	return sc
+}
+
+// releaseScratch returns a scratch to the pool without the caller's cost
+// function, which may hold a whole performance model.
+func releaseScratch(sc *Scratch) {
+	sc.cost = nil
+	scratchPool.Put(sc)
+}
+
+// allocate runs one allocation phase on a pooled scratch and detaches the
+// result.
+func allocate(algo Algorithm, g *dag.Graph, clusterSize int, cost dag.CostFunc) []int {
+	sc := acquireScratch(g, clusterSize, cost)
+	defer releaseScratch(sc)
+	return append([]int(nil), sc.allocate(algo)...)
+}
+
 // Bind sets the scheduling context. The cost memo is invalidated; per-graph
 // analyses (topological order, entries, precedence levels) are recomputed
-// only when the graph changes.
+// only when the graph changes. A cluster size below 1 is accepted here and
+// rejected by the next build.
 func (sc *Scratch) Bind(g *dag.Graph, clusterSize int, cost dag.CostFunc) {
 	sc.g, sc.p, sc.cost = g, clusterSize, cost
 	sc.epoch++
-	need := g.Len() * clusterSize
+	need := g.Len() * max(clusterSize, 0)
 	if cap(sc.memoVal) < need {
 		sc.memoVal = make([]float64, need)
 		sc.memoEp = make([]uint64, need)
 	}
 	sc.memoVal = sc.memoVal[:need]
 	sc.memoEp = sc.memoEp[:need]
-	if sc.cachedG != g {
-		sc.cachedG = g
+	if sc.cachedG != g || sc.cachedLen != g.Len() || sc.cachedEdges != g.EdgeCount() {
+		sc.cachedG, sc.cachedLen, sc.cachedEdges = g, g.Len(), g.EdgeCount()
 		topo, err := g.TopoOrder()
 		if err != nil {
 			panic(err) // same contract as dag's analyses on cyclic graphs
@@ -114,8 +143,13 @@ func (sc *Scratch) Bind(g *dag.Graph, clusterSize int, cost dag.CostFunc) {
 
 // lookupCost is the memoized cost function bound at construction time (a
 // method value, so Build paths can pass it around without allocating a
-// closure per build).
+// closure per build). Processor counts outside [1, cluster size] — which
+// only an invalid allocation produces, and validation then rejects — bypass
+// the memo.
 func (sc *Scratch) lookupCost(t *dag.Task, p int) float64 {
+	if p < 1 || p > sc.p {
+		return sc.cost(t, p)
+	}
 	idx := t.ID*sc.p + p - 1
 	if sc.memoEp[idx] == sc.epoch {
 		return sc.memoVal[idx]
@@ -150,7 +184,7 @@ func (sc *Scratch) Build(algo Algorithm, comm dag.CommFunc) (*Schedule, error) {
 	}
 	s := sc.mapInto(alloc, comm)
 	s.Algorithm = algo.Name()
-	if err := s.validate(sc.p, sc); err != nil {
+	if err := s.validate(sc.p, &sc.marks); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -213,11 +247,14 @@ const (
 	growMCPA
 )
 
-// cpaLoop is cpaLoop (cpa.go) in scratch storage. Beyond buffer reuse it
-// computes the bottom levels once per iteration and derives both the
-// critical-path length and the critical path from them — CriticalPathLength
-// and CriticalPath recompute the identical vector today, so the results are
-// bit-identical.
+// cpaLoop is the CPA-family allocation loop. Every task starts on one
+// processor; each iteration gives one more processor to the critical-path
+// task whose t(τ,p)/p drops the most (the original CPA benefit criterion),
+// until the critical path no longer exceeds the average area. HCPA and MCPA
+// are CPA with a growth constraint (mode) that vetoes some candidates. The
+// bottom levels are computed once per iteration and yield both the
+// critical-path length and the critical path, as dag.CriticalPathLength and
+// dag.CriticalPath would compute them.
 func (sc *Scratch) cpaLoop(mode growMode, floor float64) []int {
 	g, clusterSize, cost := sc.g, sc.p, sc.memoCost
 	n := g.Len()
@@ -357,9 +394,7 @@ func (sc *Scratch) criticalPath(bl []float64) []int {
 	return path
 }
 
-// mapInto is MapSchedule (mapping.go) in scratch storage: identical pick
-// order, identical comparator totals, identical arithmetic — only the
-// allocations differ (there are none).
+// mapInto is the mapping phase (see MapSchedule) in scratch storage.
 func (sc *Scratch) mapInto(alloc []int, comm dag.CommFunc) *Schedule {
 	g, clusterSize := sc.g, sc.p
 	cost := sc.memoCost
@@ -457,9 +492,9 @@ func (sc *Scratch) mapInto(alloc []int, comm dag.CommFunc) *Schedule {
 	return s
 }
 
-// cmpHostAvail is MapSchedule's host comparator: availability, then host ID —
-// a strict total order (hosts are distinct), so any correct sort yields the
-// identical permutation sort.Slice produced.
+// cmpHostAvail orders hosts by availability, then host ID — a strict total
+// order (hosts are distinct), so any correct sort yields the same
+// permutation.
 func cmpHostAvail(a, b hostAvail) int {
 	if a.at != b.at {
 		if a.at < b.at {
@@ -470,7 +505,7 @@ func cmpHostAvail(a, b hostAvail) int {
 	return a.host - b.host
 }
 
-// BuildMHEFT runs the one-phase M-HEFT scheduler (mheft.go) against the
+// BuildMHEFT runs the one-phase M-HEFT scheduler (see MHEFT) against the
 // bound context in scratch storage. Same aliasing rules as Build.
 func (sc *Scratch) BuildMHEFT(m MHEFT, comm dag.CommFunc) (*Schedule, error) {
 	if sc.g == nil {
@@ -592,7 +627,7 @@ func (sc *Scratch) BuildMHEFT(m MHEFT, comm dag.CommFunc) (*Schedule, error) {
 		}
 	}
 	sc.ready = ready[:0]
-	if err := s.validate(clusterSize, sc); err != nil {
+	if err := s.validate(clusterSize, &sc.marks); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -40,8 +40,9 @@ func sameSchedule(t *testing.T, ctx string, got, want *Schedule) {
 
 // TestScratchBuildMatchesBuild is the differential guard for the scratch
 // scheduling path: across a spread of random DAGs, cluster sizes and cost
-// models, Scratch.Build must reproduce Build bit-for-bit — same allocations,
-// same host sets, same estimated timeline.
+// models, Scratch.Build and the pooled Build, Allocate and MapSchedule built
+// on it must reproduce the reference scheduler (oracle_test.go) bit for bit
+// — same allocations, same host sets, same estimated timeline.
 func TestScratchBuildMatchesBuild(t *testing.T) {
 	c := platform.Bayreuth()
 	model := perfmodel.NewAnalytic(c)
@@ -73,26 +74,38 @@ func TestScratchBuildMatchesBuild(t *testing.T) {
 					cost dag.CostFunc
 					comm dag.CommFunc
 				}{{"analytic", cost, comm}, {"perturbed", pcost, pcomm}} {
-					want, errW := Build(algo, g, size, m.cost, m.comm)
+					want, errW := buildOracle(algo, g, size, m.cost, m.comm)
 					sc.Bind(g, size, m.cost)
 					got, errG := sc.Build(algo, m.comm)
-					if (errW == nil) != (errG == nil) {
-						t.Fatalf("dag %d size %d %s %s: error mismatch: %v vs %v",
-							seed, size, algo.Name(), m.name, errW, errG)
+					pooled, errP := Build(algo, g, size, m.cost, m.comm)
+					if (errW == nil) != (errG == nil) || (errW == nil) != (errP == nil) {
+						t.Fatalf("dag %d size %d %s %s: error mismatch: %v vs %v vs %v",
+							seed, size, algo.Name(), m.name, errW, errG, errP)
 					}
 					if errW != nil {
 						continue
 					}
 					ctx := g.Name + "/" + algo.Name() + "/" + m.name
 					sameSchedule(t, ctx, got, want)
+					sameSchedule(t, ctx+"/pooled", pooled, want)
+
+					alloc := algo.Allocate(g, size, m.cost)
+					wantAlloc := allocateOracle(algo, g, size, m.cost)
+					if !equalInts(alloc, wantAlloc) {
+						t.Fatalf("%s: Allocate %v != reference %v", ctx, alloc, wantAlloc)
+					}
+					mapped := MapSchedule(g, wantAlloc, size, m.cost, m.comm)
+					mapped.Algorithm = algo.Name()
+					sameSchedule(t, ctx+"/map", mapped, want)
 				}
 			}
 		}
 	}
 }
 
-// TestScratchBuildMHEFTMatchesMHEFT does the same for the heterogeneous
-// list scheduler.
+// TestScratchBuildMHEFTMatchesMHEFT does the same for the one-phase M-HEFT
+// scheduler: Scratch.BuildMHEFT and the pooled MHEFT.Build against the
+// reference M-HEFT loop.
 func TestScratchBuildMHEFTMatchesMHEFT(t *testing.T) {
 	c := platform.Bayreuth()
 	model := perfmodel.NewAnalytic(c)
@@ -105,16 +118,18 @@ func TestScratchBuildMHEFTMatchesMHEFT(t *testing.T) {
 			Tasks: 8 + int(seed)*6, InputMatrices: 4, AddRatio: 0.5, N: 2000, Seed: 100 + seed,
 		})
 		for _, m := range []MHEFT{{}, {AllocCap: 4}} {
-			want, errW := m.Build(g, c.Nodes, cost, comm)
+			want, errW := mheftOracle(m, g, c.Nodes, cost, comm)
 			sc.Bind(g, c.Nodes, cost)
 			got, errG := sc.BuildMHEFT(m, comm)
-			if (errW == nil) != (errG == nil) {
-				t.Fatalf("dag %d cap %d: error mismatch: %v vs %v", seed, m.AllocCap, errW, errG)
+			pooled, errP := m.Build(g, c.Nodes, cost, comm)
+			if (errW == nil) != (errG == nil) || (errW == nil) != (errP == nil) {
+				t.Fatalf("dag %d cap %d: error mismatch: %v vs %v vs %v", seed, m.AllocCap, errW, errG, errP)
 			}
 			if errW != nil {
 				continue
 			}
 			sameSchedule(t, g.Name, got, want)
+			sameSchedule(t, g.Name+"/pooled", pooled, want)
 		}
 	}
 }
@@ -135,7 +150,7 @@ func TestScratchRebind(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, g := range []*dag.Graph{g1, g2} {
 			for _, cf := range []dag.CostFunc{cost, double} {
-				want, err := Build(HCPA{}, g, c.Nodes, cf, comm)
+				want, err := buildOracle(HCPA{}, g, c.Nodes, cf, comm)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,6 +162,30 @@ func TestScratchRebind(t *testing.T) {
 				sameSchedule(t, g.Name, got, want)
 			}
 		}
+	}
+
+	// Growing a graph in place must invalidate the per-graph caches, also
+	// in the pooled scratches behind Build.
+	g := dag.MustGenerate(dag.GenParams{Tasks: 10, InputMatrices: 4, AddRatio: 0.5, N: 2000, Seed: 4})
+	for round := 0; round < 2; round++ {
+		sc.Bind(g, c.Nodes, cost)
+		got, err := sc.Build(MCPA{}, comm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := buildOracle(MCPA{}, g, c.Nodes, cost, comm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSchedule(t, "grown", got, want)
+		pooled, err := Build(MCPA{}, g, c.Nodes, cost, comm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSchedule(t, "grown/pooled", pooled, want)
+		last := g.Len() - 1
+		g.AddTask(dag.KernelMul, 2000)
+		g.AddEdge(last, last+1)
 	}
 }
 
@@ -165,7 +204,7 @@ func TestScheduleClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	clone := first.Clone()
-	ref, err := Build(HCPA{}, g, c.Nodes, cost, comm)
+	ref, err := buildOracle(HCPA{}, g, c.Nodes, cost, comm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,12 +106,6 @@ type Service struct {
 	netMu sync.Mutex
 	nets  map[string]*simgrid.Net
 
-	// scratch pools reusable scheduling state for the synchronous schedule,
-	// simulate and batch paths, so homogeneous builds reuse buffers across
-	// requests instead of allocating per call. Schedules built through the
-	// pool are Cloned before the scratch is returned.
-	scratch sync.Pool
-
 	// Sharded-execution state: long-lived per-cell engines (their scratch
 	// and runner pools persist across the cells this replica executes) and
 	// the prepared-plan cache behind preparedShard.
@@ -253,32 +247,6 @@ func (s *Service) net(env string, c platform.Cluster) (*simgrid.Net, error) {
 	}
 	s.nets[env] = n
 	return n, nil
-}
-
-// Scratch-pool telemetry for the synchronous request paths.
-var (
-	svcScratchAcquires = obs.Default.Counter("repro_pool_acquires_total",
-		"Pool acquisitions, by pool.", obs.L("pool", "service_scratch"))
-	svcScratchReleases = obs.Default.Counter("repro_pool_releases_total",
-		"Pool releases, by pool.", obs.L("pool", "service_scratch"))
-	svcScratchNews = obs.Default.Counter("repro_pool_news_total",
-		"Pool misses that built a fresh object, by pool.", obs.L("pool", "service_scratch"))
-)
-
-// acquireScratch draws a scheduling scratch from the pool.
-func (s *Service) acquireScratch() *sched.Scratch {
-	svcScratchAcquires.Inc()
-	if sc, ok := s.scratch.Get().(*sched.Scratch); ok {
-		return sc
-	}
-	svcScratchNews.Inc()
-	return sched.NewScratch()
-}
-
-// releaseScratch returns a scratch to the pool.
-func (s *Service) releaseScratch(sc *sched.Scratch) {
-	svcScratchReleases.Inc()
-	s.scratch.Put(sc)
 }
 
 // Registry exposes the fitted-model registry.
@@ -428,23 +396,14 @@ func (s *Service) build(req *ScheduleRequest) (*sched.Schedule, perfmodel.Model,
 
 // buildSchedule runs one scheduling pass — homogeneous or heterogeneous,
 // per the cluster — under the given model. Shared by the single and batched
-// paths so their schedules agree by construction. Homogeneous builds go
-// through a pooled scheduling scratch (bit-identical to sched.Build) and are
-// detached with Clone before the scratch returns to the pool, so concurrent
-// requests reuse buffers without aliasing each other's responses.
+// paths so their schedules agree by construction.
 func (s *Service) buildSchedule(algo sched.Algorithm, g *dag.Graph, c platform.Cluster, model perfmodel.Model, kind string) (*sched.Schedule, error) {
 	cost := perfmodel.CostFunc(model)
 	comm := perfmodel.CommFunc(model, c)
 	var schedule *sched.Schedule
 	var err error
 	if c.IsHomogeneous() {
-		sc := s.acquireScratch()
-		sc.Bind(g, c.Nodes, cost)
-		schedule, err = sc.Build(algo, comm)
-		if err == nil {
-			schedule = schedule.Clone()
-		}
-		s.releaseScratch(sc)
+		schedule, err = sched.Build(algo, g, c.Nodes, cost, comm)
 	} else {
 		schedule, err = sched.BuildHetero(algo, g, c, cost, comm)
 	}

@@ -2,6 +2,7 @@ package simgrid
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/platform"
@@ -212,6 +213,52 @@ func TestNetBackplane(t *testing.T) {
 	}
 	if !n.HasBackplane() || caps[n.Backplane()] != 4e9 {
 		t.Error("backplane not modelled")
+	}
+}
+
+// TestFillTransfersMatchesFillPtask checks the sparse form against the dense
+// one on random communication matrices, with and without a backplane and
+// with shared hosts between the two rank sets: equal usage maps (bitwise),
+// latency and work when the transfers are listed row-major.
+func TestFillTransfersMatchesFillPtask(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, backplane := range []float64{0, 4e9} {
+		c := platform.Bayreuth()
+		c.BackplaneBandwidth = backplane
+		n, err := NewNet(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 50; trial++ {
+			k := 1 + rng.Intn(12)
+			hosts := make([]int, k)
+			for i := range hosts {
+				hosts[i] = rng.Intn(8) // repeats make intra-host pairs
+			}
+			bytes := make([][]float64, k)
+			var transfers []Transfer
+			for i := range bytes {
+				bytes[i] = make([]float64, k)
+				for j := range bytes[i] {
+					if rng.Intn(3) == 0 {
+						bytes[i][j] = float64(rng.Intn(5)) * 1e6 / 3
+						transfers = append(transfers, Transfer{Src: hosts[i], Dst: hosts[j], Bytes: bytes[i][j]})
+					}
+				}
+			}
+			var dense, sparse Action
+			n.FillPtask(&dense, hosts, nil, bytes)
+			n.FillTransfers(&sparse, transfers)
+			if dense.Delay != sparse.Delay || dense.Work != sparse.Work || len(dense.Usage) != len(sparse.Usage) {
+				t.Fatalf("trial %d: delay/work/usage size %g/%g/%d != %g/%g/%d", trial,
+					sparse.Delay, sparse.Work, len(sparse.Usage), dense.Delay, dense.Work, len(dense.Usage))
+			}
+			for r, u := range dense.Usage {
+				if sparse.Usage[r] != u {
+					t.Fatalf("trial %d: resource %d usage %g != %g", trial, r, sparse.Usage[r], u)
+				}
+			}
+		}
 	}
 }
 

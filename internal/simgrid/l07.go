@@ -160,12 +160,7 @@ func (n *Net) FillPtask(a *Action, hosts []int, comp []float64, bytes [][]float6
 	if bytes != nil && len(bytes) != len(hosts) {
 		panic(fmt.Sprintf("simgrid: ptask %q: bytes rows %d != hosts %d", name, len(bytes), len(hosts)))
 	}
-	if a.Usage == nil {
-		a.Usage = make(map[int]float64)
-	} else {
-		clear(a.Usage)
-	}
-	usage := a.Usage
+	usage := resetUsage(a)
 	latency := 0.0
 	for i, h := range hosts {
 		if comp != nil && comp[i] > 0 {
@@ -186,18 +181,64 @@ func (n *Net) FillPtask(a *Action, hosts []int, comp []float64, bytes [][]float6
 			if h == dst {
 				continue
 			}
-			usage[n.Uplink(h)] += b
-			usage[n.Downlink(dst)] += b
-			if n.HasBackplane() {
-				usage[n.Backplane()] += b
-			}
-			if l := n.RouteLatency(h, dst); l > latency {
+			if l := n.addTransfer(usage, h, dst, b); l > latency {
 				latency = l
 			}
 		}
 	}
 	a.Delay = latency
 	a.Work = 1
+}
+
+// Transfer is one host-to-host message of a communication-only parallel
+// task: Bytes sent from host Src to host Dst.
+type Transfer struct {
+	Src, Dst int
+	Bytes    float64
+}
+
+// FillTransfers populates an existing action with a communication-only L07
+// parallel task given as a sparse list of transfers — FillPtask with comp nil
+// and a bytes matrix holding only these entries — at a cost proportional to
+// the list rather than to the square of the host count. Usage sums are
+// accumulated in list order, so a list in the matrix's row-major order
+// reproduces FillPtask's floating-point sums bit for bit.
+func (n *Net) FillTransfers(a *Action, transfers []Transfer) {
+	usage := resetUsage(a)
+	latency := 0.0
+	for _, t := range transfers {
+		if t.Bytes <= 0 || t.Src == t.Dst {
+			continue
+		}
+		if l := n.addTransfer(usage, t.Src, t.Dst, t.Bytes); l > latency {
+			latency = l
+		}
+	}
+	a.Delay = latency
+	a.Work = 1
+}
+
+// addTransfer charges a transfer of b bytes between two distinct hosts to
+// the source uplink, the destination downlink and the backplane, and
+// returns the route latency.
+func (n *Net) addTransfer(usage map[int]float64, src, dst int, b float64) float64 {
+	usage[n.Uplink(src)] += b
+	usage[n.Downlink(dst)] += b
+	if n.HasBackplane() {
+		usage[n.Backplane()] += b
+	}
+	return n.RouteLatency(src, dst)
+}
+
+// resetUsage empties an action's usage map for refilling, keeping its
+// storage.
+func resetUsage(a *Action) map[int]float64 {
+	if a.Usage == nil {
+		a.Usage = make(map[int]float64)
+	} else {
+		clear(a.Usage)
+	}
+	return a.Usage
 }
 
 // Fixed builds an action that simply lasts the given duration without

@@ -3,6 +3,7 @@ package tgrid
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"repro/internal/dag"
 	"repro/internal/redist"
@@ -74,7 +75,8 @@ func (m ScaledTiming) TaskScale(task *dag.Task, p int) (float64, bool) {
 }
 
 // replayTask is the recorded execution of one task: a recycled action plus
-// everything needed to re-arm it under a new timing.
+// everything needed to re-arm it under a new timing, and the window the last
+// play gave it.
 type replayTask struct {
 	act     simgrid.Action
 	p       int
@@ -83,15 +85,20 @@ type replayTask struct {
 	cross   bool      // any cross-host communication (pays route latency)
 	cpuRes  []int     // CPU resource index per communicating rank
 	cpuBase []float64 // base per-rank flop count, scaled by TaskScale
+
+	start, finish, startup float64
 }
 
-// replayEdge is the recorded redistribution of one DAG edge.
+// replayEdge is the recorded redistribution of one DAG edge, and the window
+// the last play gave it.
 type replayEdge struct {
 	act        simgrid.Action
 	src, dst   int
 	pSrc, pDst int
 	hasBytes   bool
 	cross      bool
+
+	start, finish, overhead float64
 }
 
 type ptaskKey struct {
@@ -105,36 +112,37 @@ type ptaskDesc struct {
 	bytes [][]float64
 }
 
-type commKey struct {
-	n, pSrc, pDst int
-}
-
 // Replayer replays one schedule through the simulator many times under
 // varying timings without allocating in steady state — the fast path of the
-// robustness trial loop. Bind records the schedule's execution structure
-// (actions, usage shapes, dependency counts) against a base Timing; each
-// Replay then re-arms the recorded actions under a TimingScaler and a
-// (possibly re-parameterised) net of the same shape, and returns the
-// makespan. Replay(net, Unscaled{base}) equals Run(net, s, base) bit for
-// bit, and Replay with ScaledTiming{perturbed} equals Run under the
-// perturbed model.
+// robustness trial loop, and the engine behind Run. Bind records the
+// schedule's execution structure (actions, usage shapes, dependency counts)
+// against a base Timing; each Replay then re-arms the recorded actions under
+// a TimingScaler and a (possibly re-parameterised) net of the same shape,
+// and returns the makespan. Replay(net, Unscaled{base}) equals Run(net, s,
+// base) bit for bit, and Replay with ScaledTiming{perturbed} equals Run
+// under the perturbed model.
 //
 // A Replayer may be re-Bound to different schedules of the same or different
-// graphs; its internal caches (parallel-task descriptions keyed by
-// configuration, redistribution matrices) persist across binds, so binding
-// per trial in a reschedule loop is cheap. The parallel-task cache assumes
-// TaskWork depends only on (task.Kernel, task.N, len(hosts)), which holds
-// for ModelTiming (performance models describe homogeneous platforms); it is
-// invalidated when the base Timing changes. A Replayer is not safe for
-// concurrent use.
+// graphs; its cache of parallel-task descriptions, keyed by configuration,
+// persists across binds, so binding per trial in a reschedule loop is cheap.
+// The cache assumes TaskWork depends only on (task.Kernel, task.N,
+// len(hosts)), which holds for ModelTiming (performance models describe
+// homogeneous platforms); it is invalidated when the base Timing changes.
+// Redistributions are recorded from their sparse block-overlap plans, built
+// in reused storage per edge. A Replayer is not safe for concurrent use.
 type Replayer struct {
 	net  *simgrid.Net // layout reference from the last Bind
 	g    *dag.Graph
 	base Timing
 
-	eng  *simgrid.Engine
-	rnet *simgrid.Net // net of the Replay in progress
-	cur  TimingScaler
+	own *simgrid.Engine // Replay's private engine
+
+	// The play in progress: its engine and net, the timing it asks, and
+	// that timing as a TimingScaler when it re-arms recorded parallel tasks.
+	eng    *simgrid.Engine
+	rnet   *simgrid.Net
+	timing Timing
+	scaler TimingScaler
 
 	hostsFlat []int
 	hosts     [][]int
@@ -158,10 +166,11 @@ type Replayer struct {
 	lastOnHost []int
 	seenEp     []uint64
 	ep         uint64
-	ehostsBuf  []int
+
+	plan      []redist.Transfer
+	transfers []simgrid.Transfer
 
 	ptasks map[ptaskKey]ptaskDesc
-	comms  map[commKey][][]float64
 	names  []string
 
 	onTask, onEdge func(*simgrid.Engine, *simgrid.Action)
@@ -169,13 +178,20 @@ type Replayer struct {
 
 // NewReplayer returns an empty replayer.
 func NewReplayer() *Replayer {
-	r := &Replayer{
-		ptasks: make(map[ptaskKey]ptaskDesc),
-		comms:  make(map[commKey][][]float64),
-	}
+	r := &Replayer{ptasks: make(map[ptaskKey]ptaskDesc)}
 	r.onTask = func(e *simgrid.Engine, a *simgrid.Action) { r.taskDone(a.Tag) }
-	r.onEdge = func(e *simgrid.Engine, a *simgrid.Action) { r.arrive(r.edges[a.Tag].dst) }
+	r.onEdge = func(e *simgrid.Engine, a *simgrid.Action) { r.edgeDone(a.Tag) }
 	return r
+}
+
+// replayerPool recycles the replayers behind Run.
+var replayerPool = sync.Pool{New: func() any { return NewReplayer() }}
+
+// release returns a Run replayer to the pool without its references to the
+// caller's net and graph.
+func (r *Replayer) release() {
+	r.net, r.g = nil, nil
+	replayerPool.Put(r)
 }
 
 // Bind records the schedule's execution structure against the base timing.
@@ -183,10 +199,17 @@ func NewReplayer() *Replayer {
 // re-validate); its relevant fields are copied, so schedules backed by a
 // sched.Scratch may be overwritten after Bind returns.
 func (r *Replayer) Bind(net *simgrid.Net, s *sched.Schedule, base Timing) error {
+	return r.bind(net, s, base)
+}
+
+// bind is Bind. A nil base records no parallel-task descriptions: every
+// task then takes its work from the play's own timing at launch, as Run's
+// single play does.
+func (r *Replayer) bind(net *simgrid.Net, s *sched.Schedule, base Timing) error {
 	g := s.Graph
 	n := g.Len()
 	clusterSize := net.Cluster.Nodes
-	if base != r.base {
+	if base != nil && base != r.base {
 		clear(r.ptasks)
 		r.base = base
 	}
@@ -248,7 +271,7 @@ func (r *Replayer) Bind(net *simgrid.Net, s *sched.Schedule, base Timing) error 
 	}
 
 	// releasedBy[p] lists the tasks waiting on a host p releases, in
-	// ascending waiter ID — the order Run's construction produces.
+	// ascending waiter ID.
 	r.relOff = resizeInts(r.relOff, n)
 	r.relEnd = resizeInts(r.relEnd, n)
 	clear(r.relOff)
@@ -286,33 +309,38 @@ func (r *Replayer) Bind(net *simgrid.Net, s *sched.Schedule, base Timing) error 
 		rec.act.Name = r.taskName(id)
 		rec.act.Tag = id
 		rec.act.OnComplete = r.onTask
-		d := r.ptaskDesc(task, rec.p, rec.hosts)
-		rec.isPtask = d.comp != nil || d.bytes != nil
+		rec.act.Work = 0
+		rec.act.Delay = 0
+		clear(rec.act.Usage)
+		rec.isPtask = false
 		rec.cross = false
 		rec.cpuRes = rec.cpuRes[:0]
 		rec.cpuBase = rec.cpuBase[:0]
-		if rec.isPtask {
-			net.FillPtask(&rec.act, rec.hosts, d.comp, d.bytes)
-			for res := range rec.act.Usage {
-				if res >= clusterSize {
-					rec.cross = true
-					break
-				}
+		if base == nil {
+			continue
+		}
+		d := r.ptaskDesc(task, rec.p, rec.hosts)
+		if d.comp == nil && d.bytes == nil {
+			continue
+		}
+		rec.isPtask = true
+		net.FillPtask(&rec.act, rec.hosts, d.comp, d.bytes)
+		for res := range rec.act.Usage {
+			if res >= clusterSize {
+				rec.cross = true
+				break
 			}
-			for i, h := range rec.hosts {
-				if d.comp != nil && d.comp[i] > 0 {
-					rec.cpuRes = append(rec.cpuRes, net.CPU(h))
-					rec.cpuBase = append(rec.cpuBase, d.comp[i])
-				}
+		}
+		for i, h := range rec.hosts {
+			if d.comp != nil && d.comp[i] > 0 {
+				rec.cpuRes = append(rec.cpuRes, net.CPU(h))
+				rec.cpuBase = append(rec.cpuBase, d.comp[i])
 			}
-		} else {
-			rec.act.Work = 0
-			rec.act.Delay = 0
 		}
 	}
 
-	// Edge records, in (source ID, successor order) — the order Run starts
-	// them relative to each source's completion.
+	// Edge records, in (source ID, successor order) — the order each
+	// source's completion starts them in.
 	nEdges := g.EdgeCount()
 	if cap(r.edges) < nEdges {
 		edges := make([]replayEdge, nEdges)
@@ -323,12 +351,10 @@ func (r *Replayer) Bind(net *simgrid.Net, s *sched.Schedule, base Timing) error 
 	r.edgeIdx = resizeIntSlices(r.edgeIdx, n)
 	r.edgeIdxFlat = resizeInts(r.edgeIdxFlat, nEdges)
 	ei := 0
-	ehosts := r.ehostsBuf
 	for id := 0; id < n; id++ {
 		task := g.Task(id)
-		succs := task.Succs()
 		start := ei
-		for _, succ := range succs {
+		for _, succ := range task.Succs() {
 			rec := &r.edges[ei]
 			r.edgeIdxFlat[ei] = ei
 			rec.src, rec.dst = id, succ
@@ -338,13 +364,9 @@ func (r *Replayer) Bind(net *simgrid.Net, s *sched.Schedule, base Timing) error 
 			rec.act.OnComplete = r.onEdge
 			rec.hasBytes = task.OutputBytes() > 0
 			if rec.hasBytes {
-				full, err := r.commMatrix(task.N, rec.pSrc, rec.pDst)
-				if err != nil {
+				if err := r.fillRedist(net, rec, task.N); err != nil {
 					return fmt.Errorf("tgrid: edge %d->%d: %w", id, succ, err)
 				}
-				ehosts = append(ehosts[:0], r.hosts[id]...)
-				ehosts = append(ehosts, r.hosts[succ]...)
-				net.FillPtask(&rec.act, ehosts, nil, full)
 				rec.cross = len(rec.act.Usage) > 0
 			} else {
 				rec.act.Work = 0
@@ -355,7 +377,30 @@ func (r *Replayer) Bind(net *simgrid.Net, s *sched.Schedule, base Timing) error 
 		}
 		r.edgeIdx[id] = r.edgeIdxFlat[start:ei:ei]
 	}
-	r.ehostsBuf = ehosts
+	return nil
+}
+
+// fillRedist places an edge's redistribution on the net: the 1-D block
+// overlap plan between the source and destination processor sets, listed
+// row-major as the dense communication matrix would be walked.
+func (r *Replayer) fillRedist(net *simgrid.Net, rec *replayEdge, n int) error {
+	sd, err := redist.NewDist(n, rec.pSrc)
+	if err != nil {
+		return err
+	}
+	dd, err := redist.NewDist(n, rec.pDst)
+	if err != nil {
+		return err
+	}
+	if r.plan, err = redist.AppendPlan(r.plan[:0], sd, dd); err != nil {
+		return err
+	}
+	src, dst := r.hosts[rec.src], r.hosts[rec.dst]
+	r.transfers = r.transfers[:0]
+	for _, t := range r.plan {
+		r.transfers = append(r.transfers, simgrid.Transfer{Src: src[t.Src], Dst: dst[t.Dst], Bytes: float64(t.Bytes)})
+	}
+	net.FillTransfers(&rec.act, r.transfers)
 	return nil
 }
 
@@ -369,11 +414,19 @@ func (r *Replayer) Replay(net *simgrid.Net, timing TimingScaler) (float64, error
 	if net.Cluster.Nodes != r.net.Cluster.Nodes || net.HasBackplane() != r.net.HasBackplane() {
 		return 0, fmt.Errorf("tgrid: replay net layout differs from bind net")
 	}
-	if r.eng == nil {
-		r.eng = net.NewEngine()
+	if r.own == nil {
+		r.own = net.NewEngine()
 	} else {
-		net.ResetEngine(r.eng)
+		net.ResetEngine(r.own)
 	}
+	return r.play(r.own, net, timing, timing)
+}
+
+// play runs the bound schedule once on an empty engine for net, asking
+// timing for every startup, work and overhead as the events occur; a
+// non-nil scaler re-arms the recorded parallel tasks instead of asking for
+// their work.
+func (r *Replayer) play(eng *simgrid.Engine, net *simgrid.Net, timing Timing, scaler TimingScaler) (float64, error) {
 	for i := range r.tasks {
 		r.tasks[i].act.Reset()
 	}
@@ -381,17 +434,15 @@ func (r *Replayer) Replay(net *simgrid.Net, timing TimingScaler) (float64, error
 		r.edges[i].act.Reset()
 	}
 	copy(r.waiting, r.waiting0)
-	r.rnet = net
-	r.cur = timing
+	r.eng, r.rnet, r.timing, r.scaler = eng, net, timing, scaler
 	n := len(r.tasks)
 	for id := 0; id < n; id++ {
 		if r.waiting[id] == 0 {
 			r.launch(id)
 		}
 	}
-	makespan, err := r.eng.Run()
-	r.rnet = nil
-	r.cur = nil
+	makespan, err := eng.Run()
+	r.eng, r.rnet, r.timing, r.scaler = nil, nil, nil, nil
 	if err != nil {
 		return 0, fmt.Errorf("tgrid: %w", err)
 	}
@@ -403,45 +454,85 @@ func (r *Replayer) Replay(net *simgrid.Net, timing TimingScaler) (float64, error
 	return makespan, nil
 }
 
+// result copies the last play's windows into a fresh Result.
+func (r *Replayer) result(makespan float64) *Result {
+	n, m := len(r.tasks), len(r.edges)
+	windows := make([]float64, 3*n)
+	res := &Result{
+		Makespan:          makespan,
+		TaskStart:         windows[:n:n],
+		TaskFinish:        windows[n : 2*n : 2*n],
+		TaskStartupDur:    windows[2*n:],
+		RedistStart:       make(map[[2]int]float64, m),
+		RedistFinish:      make(map[[2]int]float64, m),
+		RedistOverheadDur: make(map[[2]int]float64, m),
+	}
+	for id := range r.tasks {
+		rec := &r.tasks[id]
+		res.TaskStart[id], res.TaskFinish[id], res.TaskStartupDur[id] = rec.start, rec.finish, rec.startup
+	}
+	for i := range r.edges {
+		rec := &r.edges[i]
+		key := [2]int{rec.src, rec.dst}
+		res.RedistStart[key], res.RedistFinish[key], res.RedistOverheadDur[key] = rec.start, rec.finish, rec.overhead
+	}
+	return res
+}
+
 func (r *Replayer) launch(id int) {
 	rec := &r.tasks[id]
 	task := r.g.Task(id)
-	startup := r.cur.TaskStartup(task, rec.p)
+	startup := r.timing.TaskStartup(task, rec.p)
 	if startup < 0 {
 		panic(fmt.Sprintf("tgrid: negative startup for task %d", id))
 	}
 	a := &rec.act
-	scaled := false
-	if rec.isPtask {
-		if f, ok := r.cur.TaskScale(task, rec.p); ok {
-			for k, res := range rec.cpuRes {
-				a.Usage[res] = rec.cpuBase[k] * f
-			}
-			a.Work = 1
-			lat := 0.0
-			if rec.cross {
-				lat = 2 * r.rnet.Cluster.LinkLatency
-			}
-			// Mirrors Run's Delay = latency + (startup + fixed); fixed
-			// is 0 on the parallel-task path, so this is bit-identical.
-			a.Delay = lat + startup
-			scaled = true
-		}
-	}
-	if !scaled {
-		fixed, comp, bytes := r.cur.TaskWork(task, rec.hosts)
-		if comp != nil || bytes != nil {
+	if !r.rearm(rec, task, startup) {
+		fixed, comp, bytes := r.timing.TaskWork(task, rec.hosts)
+		switch {
+		case comp == nil && bytes == nil:
+			a.Work = 0
+			a.Delay = startup + fixed
+		case r.scaler != nil:
 			panic(fmt.Sprintf("tgrid: replay timing returned a parallel task for task %d without a scale factor", id))
+		default:
+			r.rnet.FillPtask(a, rec.hosts, comp, bytes)
+			a.Delay += startup + fixed
 		}
-		a.Work = 0
-		a.Delay = startup + fixed
 	}
+	rec.start, rec.startup = r.eng.Now(), startup
 	r.eng.Add(a)
+}
+
+// rearm re-arms a recorded parallel task by scaling its CPU usage with the
+// scaler's factor, and reports whether it could.
+func (r *Replayer) rearm(rec *replayTask, task *dag.Task, startup float64) bool {
+	if r.scaler == nil || !rec.isPtask {
+		return false
+	}
+	f, ok := r.scaler.TaskScale(task, rec.p)
+	if !ok {
+		return false
+	}
+	a := &rec.act
+	for k, res := range rec.cpuRes {
+		a.Usage[res] = rec.cpuBase[k] * f
+	}
+	a.Work = 1
+	lat := 0.0
+	if rec.cross {
+		lat = 2 * r.rnet.Cluster.LinkLatency
+	}
+	// FillPtask's Delay is the route latency, to which the unscaled path
+	// adds startup + fixed; fixed is 0 on the parallel-task path, so this
+	// is bit-identical.
+	a.Delay = lat + startup
+	return true
 }
 
 func (r *Replayer) startEdge(ei int) {
 	rec := &r.edges[ei]
-	overhead := r.cur.RedistOverhead(rec.pSrc, rec.pDst)
+	overhead := r.timing.RedistOverhead(rec.pSrc, rec.pDst)
 	a := &rec.act
 	if rec.hasBytes {
 		lat := 0.0
@@ -452,16 +543,24 @@ func (r *Replayer) startEdge(ei int) {
 	} else {
 		a.Delay = overhead
 	}
+	rec.start, rec.overhead = r.eng.Now(), overhead
 	r.eng.Add(a)
 }
 
 func (r *Replayer) taskDone(id int) {
+	r.tasks[id].finish = r.eng.Now()
 	for _, ei := range r.edgeIdx[id] {
 		r.startEdge(ei)
 	}
 	for i := r.relOff[id]; i < r.relEnd[id]; i++ {
 		r.arrive(r.relFlat[i])
 	}
+}
+
+func (r *Replayer) edgeDone(ei int) {
+	rec := &r.edges[ei]
+	rec.finish = r.eng.Now()
+	r.arrive(rec.dst)
 }
 
 func (r *Replayer) arrive(id int) {
@@ -485,39 +584,6 @@ func (r *Replayer) ptaskDesc(task *dag.Task, p int, hosts []int) ptaskDesc {
 	d := ptaskDesc{fixed: fixed, comp: comp, bytes: bytes}
 	r.ptasks[key] = d
 	return d
-}
-
-// commMatrix returns the full (pSrc+pDst)² byte matrix of a redistribution,
-// memoised by (n, pSrc, pDst) — a pure function of the 1-D block overlap
-// plan.
-func (r *Replayer) commMatrix(n, pSrc, pDst int) ([][]float64, error) {
-	key := commKey{n: n, pSrc: pSrc, pDst: pDst}
-	if m, ok := r.comms[key]; ok {
-		return m, nil
-	}
-	sd, err := redist.NewDist(n, pSrc)
-	if err != nil {
-		return nil, err
-	}
-	dd, err := redist.NewDist(n, pDst)
-	if err != nil {
-		return nil, err
-	}
-	m, err := redist.CommMatrix(sd, dd)
-	if err != nil {
-		return nil, err
-	}
-	full := make([][]float64, pSrc+pDst)
-	for i := range full {
-		full[i] = make([]float64, pSrc+pDst)
-	}
-	for i := 0; i < pSrc; i++ {
-		for j := 0; j < pDst; j++ {
-			full[i][pSrc+j] = float64(m[i][j])
-		}
-	}
-	r.comms[key] = full
-	return full, nil
 }
 
 func (r *Replayer) taskName(id int) string {
