@@ -298,8 +298,8 @@ func runRobust(ctx context.Context, clients []*service.Client, addrs []string, c
 		}
 	}
 	if total == 0 {
-		// A monolithic (un-sharded) daemon ran the whole job as one unit;
-		// count the grid so rates stay comparable.
+		// An in-memory daemon runs the cells in process and counts none
+		// on the replica series; count the grid so rates stay comparable.
 		total = cells
 	}
 	return summary{

@@ -195,7 +195,7 @@ func TestGoldenRobustnessSequential(t *testing.T) {
 // goldenClusterShardSpec is the spec CI's sharded-execution smoke submits
 // to a two-replica cluster (a 3-cell grid, one replica SIGKILL'd mid-cell).
 // The snapshot is regenerated here by an in-process run: sharded execution
-// is byte-identical to a monolithic run, so one golden pins both paths —
+// is byte-identical to an in-process run, so one golden pins both paths —
 // the CI job byte-compares the surviving cluster's report against the same
 // file.
 func goldenClusterShardSpec() robust.Spec {

@@ -26,7 +26,7 @@ var cellsCompleted = obs.Default.Counter("repro_arrival_cells_completed_total",
 // registry. Each algorithm is one cell: the whole arrival sequence is
 // scheduled and measured under that algorithm on the experiments worker
 // pool, then the FCFS queueing simulation and the report derive from the
-// per-job service times alone — so the monolithic Run and the cell-sharded
+// per-job service times alone — so the in-process Run and the cell-sharded
 // path produce byte-identical reports by construction.
 type Engine struct {
 	// Source supplies ground truths and registry-cached fitted models.

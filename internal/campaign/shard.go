@@ -1,14 +1,15 @@
 package campaign
 
-// Sharded execution: the per-cell face of the engine. A coordinator calls
+// Per-cell execution: the one path every campaign takes. A coordinator calls
 // Prepare once to resolve the canonical plan, any replica executes single
 // cells by plan index with RunCellIndex, and Merge reassembles the cells —
-// in plan-index order — into a Result whose rendered report is byte-for-byte
-// identical to a monolithic Run of the same spec. The determinism argument:
-// noise sessions are pure functions of (seed, study, instance), so a fresh
-// per-cell emulator replays exactly the sessions the shared per-platform
-// emulator would hand out, and every cross-cell input (plan, models, suites)
-// is resolved identically by every replica through resolvePlan.
+// in plan-index order — into a Result; Run is the same three steps in one
+// process. The determinism argument: noise sessions are pure functions of
+// (seed, study, instance), so a fresh per-cell emulator replays exactly the
+// sessions a shared per-platform emulator would hand out (the monolithic
+// loop kept in monolithic_test.go pins this), and every cross-cell input
+// (plan, models, suites) is resolved identically by every replica through
+// resolvePlan.
 
 import (
 	"bytes"
@@ -25,9 +26,9 @@ type Prepared struct {
 	Plan *Plan
 }
 
-// Prepare expands and canonicalises a spec exactly as Run does, without
-// executing anything. Every replica preparing the same spec against an
-// equivalent model source resolves the identical plan.
+// Prepare expands and canonicalises a spec without executing anything.
+// Every replica preparing the same spec against an equivalent model source
+// resolves the identical plan.
 func (e *Engine) Prepare(spec Spec) (*Prepared, error) {
 	plan, err := spec.Plan()
 	if err != nil {
@@ -43,15 +44,14 @@ func (e *Engine) Prepare(spec Spec) (*Prepared, error) {
 func (p *Prepared) NumCells() int { return p.Plan.Cells() }
 
 // CellPoint maps a plan index to its (platform, workload, model) coordinates
-// in the same platforms × workloads × models nesting Run iterates.
+// in platforms × workloads × models nesting, models varying fastest.
 func (p *Prepared) CellPoint(i int) (PlatformPoint, WorkloadPoint, string) {
 	nw, nm := len(p.Plan.Workloads), len(p.Plan.Models)
 	return p.Plan.Platforms[i/(nw*nm)], p.Plan.Workloads[(i/nm)%nw], p.Plan.Models[i%nm]
 }
 
-// RunCellIndex scores one grid cell of a prepared plan, byte-identically to
-// the same cell inside a monolithic Run. It is safe to call concurrently and
-// from different replicas for different indices.
+// RunCellIndex scores one grid cell of a prepared plan. It is safe to call
+// concurrently and from different replicas for different indices.
 func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, i int) (CellScore, error) {
 	if i < 0 || i >= p.NumCells() {
 		return CellScore{}, fmt.Errorf("campaign: cell index %d out of range [0,%d)", i, p.NumCells())
@@ -88,10 +88,7 @@ func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, i int) (CellScor
 	return cell, nil
 }
 
-// Merge assembles per-cell scores — in plan-index order — into the Result a
-// monolithic Run would have produced. FitsReused is deliberately zero: it
-// reflects registry state on whichever replica ran each cell and is never
-// rendered.
+// Merge assembles per-cell scores — in plan-index order — into the Result.
 func Merge(p *Prepared, cells []CellScore) (*Result, error) {
 	if len(cells) != p.NumCells() {
 		return nil, fmt.Errorf("campaign: merge got %d cells, plan has %d", len(cells), p.NumCells())

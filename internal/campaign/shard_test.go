@@ -11,10 +11,11 @@ import (
 // TestShardedCampaignByteIdentical pins the sharding contract: running every
 // cell independently through RunCellIndex — each on its own engine and
 // registry, the way different replicas would — then merging in plan order
-// renders the report byte-for-byte identical to one monolithic Run.
+// renders the report byte-for-byte identical to the monolithic oracle loop
+// (monolithic_test.go), which shares one emulator per platform.
 func TestShardedCampaignByteIdentical(t *testing.T) {
 	mono := newEngine(4)
-	res, err := mono.Run(context.Background(), testSpec())
+	res, err := mono.MonolithicRun(context.Background(), testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestShardedCampaignByteIdentical(t *testing.T) {
 
 // TestCellPointOrder pins the plan-index convention every replica must agree
 // on: platforms outermost, then workloads, then models — the same nesting
-// Run iterates.
+// the monolithic oracle loop iterates.
 func TestCellPointOrder(t *testing.T) {
 	eng := newEngine(1)
 	p, err := eng.Prepare(testSpec())

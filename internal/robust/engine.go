@@ -70,18 +70,18 @@ type Engine struct {
 	// Workers bounds the per-instance worker pool (<= 0: one per CPU).
 	// Reports are byte-identical for every value.
 	Workers int
-	// Progress, when non-nil, receives live cell and trial counts: the base
-	// campaign's cells plus one cell per Monte Carlo stabilisation, and the
-	// trial budget versus trials actually drawn. It is write-only — the
+	// Progress, when non-nil, receives live cell and trial counts: one cell
+	// per grid cell (scored and stabilised), and the trial budget versus
+	// trials actually drawn. It is write-only — the
 	// engine never reads it back, so attaching one cannot change any result.
 	Progress *obs.Progress
 	// runners pools per-worker trial state (scheduling scratches, replayers,
 	// makespan buffers) across cells and instances.
 	runners sync.Pool
 
-	// cellOnce/cellCamp lazily build the inner campaign engine the sharded
-	// per-cell path (RunCellIndex) scores base cells with, so its scratch
-	// pool persists across the cells one replica executes.
+	// cellOnce/cellCamp lazily build the inner campaign engine RunCellIndex
+	// scores base cells with, so its scratch pool persists across the cells
+	// one engine executes.
 	cellOnce sync.Once
 	cellCamp *campaign.Engine
 }
@@ -164,69 +164,27 @@ type InstanceStability struct {
 	Critical float64
 }
 
-// Run expands, validates and executes a robustness study.
+// Run expands, validates and executes a robustness study: Prepare, every
+// cell in plan order through RunCellIndex (base scoring plus Monte Carlo
+// stabilisation), then Merge — the same path a sharded job takes across
+// replicas, run in one process.
 func (e *Engine) Run(ctx context.Context, spec Spec) (*Result, error) {
-	plan, err := spec.Plan()
+	p, err := e.Prepare(spec)
 	if err != nil {
 		return nil, err
 	}
-	if e.Source == nil {
-		return nil, fmt.Errorf("robust: engine has no model source")
-	}
-	trials := plan.Spec.Robustness.Trials
-	ceng := campaign.Engine{Source: e.Source, Workers: e.Workers, KeepRaw: trials > 0, KeepSchedules: trials > 0, Progress: e.Progress}
-	base, err := ceng.Run(ctx, plan.Spec.Spec)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Plan: plan, Base: base}
-	if trials == 0 {
-		return res, nil
-	}
-	// The Monte Carlo stage revisits every base cell once more.
-	e.Progress.AddCellsTotal(int64(len(base.Cells)))
-
-	// Walk the campaign's (possibly canonicalised) plan in the same nested
-	// order the campaign engine emitted its cells, so base.Cells[ci] is
-	// always the cell being stabilised.
-	cp := base.Plan
-	ci := 0
-	for _, pt := range cp.Platforms {
-		truth, err := e.Source.Environment(pt.Env)
-		if err != nil {
+	e.Progress.AddCellsTotal(int64(p.NumCells()))
+	cells := make([]CellResult, p.NumCells())
+	for i := range cells {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		platNet, err := simgrid.NewNet(truth.Cluster)
-		if err != nil {
-			return nil, fmt.Errorf("robust: platform %s: %w", pt.Env, err)
+		if cells[i], err = e.RunCellIndex(ctx, p, i, e.Progress); err != nil {
+			return nil, err
 		}
-		for _, wp := range cp.Workloads {
-			suite, err := wp.Instances()
-			if err != nil {
-				return nil, err
-			}
-			for _, kind := range cp.Models {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				// The base campaign already resolved this fit; the lookup is
-				// a cache hit returning the identical model value.
-				model, _, err := e.Source.GetModel(pt.Env, kind, cp.Spec.Seed)
-				if err != nil {
-					return nil, fmt.Errorf("robust: fit %s/%s: %w", pt.Env, kind, err)
-				}
-				cell, err := e.stabilizeCell(ctx, plan, cp, pt, wp, kind, truth, platNet, suite, model, &base.Cells[ci], e.Progress)
-				if err != nil {
-					return nil, err
-				}
-				res.Cells = append(res.Cells, cell)
-				robustCellsCompleted.Inc()
-				e.Progress.AddCellsDone(1)
-				ci++
-			}
-		}
+		e.Progress.AddCellsDone(1)
 	}
-	return res, nil
+	return Merge(p, cells)
 }
 
 // trialSetup is one prepared perturbation draw: the perturbed model wrapped
@@ -299,8 +257,8 @@ func drawPerturbation(rng *rand.Rand, n Noise, level float64) perturbationDraw {
 // sequential stopping enabled, each (instance, level) stops drawing trials
 // once every pair's flip probability is decided against the flip threshold
 // by its Wilson interval (after MinTrials, within the Trials budget).
-// Trial counts flow through prog — the engine's own Progress on the
-// monolithic path, a per-cell progress on the sharded one.
+// Trial counts flow through prog — the engine's own Progress under Run, a
+// per-cell progress on a sharded replica.
 func (e *Engine) stabilizeCell(ctx context.Context, plan *Plan, cp *campaign.Plan,
 	pt campaign.PlatformPoint, wp campaign.WorkloadPoint, kind string,
 	truth *cluster.Hidden, platNet *simgrid.Net, suite []dag.SuiteInstance,

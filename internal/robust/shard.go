@@ -1,7 +1,8 @@
 package robust
 
-// Sharded execution: the per-cell face of the robustness engine, mirroring
-// campaign's. One cell = the base campaign scoring of one grid cell plus its
+// Per-cell execution: the one path every robustness study takes, mirroring
+// campaign's — Run is Prepare, RunCellIndex per cell and Merge in one
+// process, a sharded job spreads the same cells over replicas. One cell = the base campaign scoring of one grid cell plus its
 // Monte Carlo stabilisation — the Raw retention that stabilizeCell needs
 // never has to leave the replica that scored the cell, which is what makes
 // cell-granular sharding cheap: result frames carry only the aggregated
@@ -24,8 +25,7 @@ type Prepared struct {
 	Camp *campaign.Prepared
 }
 
-// Prepare expands and canonicalises a spec exactly as Run does, without
-// executing anything.
+// Prepare expands and canonicalises a spec without executing anything.
 func (e *Engine) Prepare(spec Spec) (*Prepared, error) {
 	plan, err := spec.Plan()
 	if err != nil {
@@ -64,8 +64,9 @@ type CellResult struct {
 }
 
 // RunCellIndex scores and stabilises one grid cell, byte-identically to the
-// same cell inside a monolithic Run. Trial counts flow through prog (nil is
-// fine), so cross-replica job progress can aggregate per-cell snapshots.
+// same cell of the monolithic oracle loop (monolithic_test.go). Trial
+// counts flow through prog (nil is fine), so cross-replica job progress can
+// aggregate per-cell snapshots.
 func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, i int, prog *obs.Progress) (CellResult, error) {
 	score, err := e.cellEngine().RunCellIndex(ctx, p.Camp, i)
 	if err != nil {
@@ -102,8 +103,7 @@ func (e *Engine) RunCellIndex(ctx context.Context, p *Prepared, i int, prog *obs
 	return CellResult{Score: score, Stab: stab, HasStab: true}, nil
 }
 
-// Merge assembles per-cell results — in plan-index order — into the Result a
-// monolithic Run would have produced.
+// Merge assembles per-cell results — in plan-index order — into the Result.
 func Merge(p *Prepared, cells []CellResult) (*Result, error) {
 	if len(cells) != p.NumCells() {
 		return nil, fmt.Errorf("robust: merge got %d cells, plan has %d", len(cells), p.NumCells())

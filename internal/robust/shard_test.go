@@ -12,10 +12,11 @@ import (
 // TestShardedRobustnessByteIdentical pins the sharding contract for the
 // Monte Carlo path: each cell scored and stabilised on its own engine and
 // registry (the way different replicas would), frames gob-encoded across the
-// wire, merged in plan order — byte-for-byte the monolithic Run's report.
+// wire, merged in plan order — byte-for-byte the monolithic oracle loop's
+// report (monolithic_test.go).
 func TestShardedRobustnessByteIdentical(t *testing.T) {
 	mono := newEngine(4)
-	res, err := mono.Run(context.Background(), testSpec())
+	res, err := mono.MonolithicRun(context.Background(), testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +74,11 @@ func TestShardedRobustnessByteIdentical(t *testing.T) {
 
 // TestShardedTrialsZeroSkipsStabilisation: with the robustness axis disabled
 // a cell is just its base campaign score, and the merged report reduces to
-// the campaign report exactly as a monolithic Run does.
+// the campaign report exactly as the monolithic oracle loop does.
 func TestShardedTrialsZeroSkipsStabilisation(t *testing.T) {
 	spec := robust.Spec{Spec: baseSpec()}
 	mono := newEngine(2)
-	res, err := mono.Run(context.Background(), spec)
+	res, err := mono.MonolithicRun(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

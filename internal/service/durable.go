@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -18,29 +17,19 @@ import (
 // are not queued in process memory — submissions append (kind, payload)
 // records to the shared WAL, and every replica's workers claim queued jobs
 // by lease, renew while running, and write the terminal transition back.
-// Any replica sharing the store directory serves status reads for any job,
-// and a job whose holder dies mid-run is reclaimed after lease expiry and
-// restarted from its payload on a surviving replica (deterministic work
+// Any replica sharing the store directory serves status reads for any job.
+// Every job runs as its kind's cell job (kinds.go): the claiming replica
+// becomes the coordinator that plans the cells durably, every replica's
+// claim loops execute cells, and the coordinator merges the result frames.
+// A job or cell whose holder dies mid-run is reclaimed after lease expiry
+// and restarted from its payload on a surviving replica (deterministic work
 // makes the rerun's output identical to an uninterrupted one).
-
-// PayloadRunner materialises a durable job from its submission record. The
-// service installs a runner that dispatches on kind: campaign and
-// robustness kinds decode their specs, everything else is a study request.
-type PayloadRunner func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error)
-
-// ErrNotDurable is returned by SubmitPayload on a manager without a store.
-var ErrNotDurable = errors.New("service: job manager has no store")
 
 // durable holds the store-backed state of a JobManager.
 type durable struct {
 	st      *store.Store
 	replica string
 	ttl     time.Duration
-	runner  PayloadRunner
-	// cells, when non-nil, shards eligible jobs at cell granularity: the
-	// claiming replica becomes the coordinator and every replica's claim
-	// loops execute cells. Nil runs every job as a monolith.
-	cells CellRunner
 
 	// local tracks jobs running on this replica, so status reads overlay
 	// their live progress over the (renew-cadence) snapshots in the store.
@@ -70,15 +59,12 @@ var claimWake = 10 * time.Millisecond
 // completion.
 var walCompactBytes = int64(256 << 10)
 
-// NewDurableJobManager starts a store-backed manager: workers claim-loop
+// newDurableJobManager starts a store-backed manager: workers claim-loop
 // goroutines over the shared pool, retaining the last retain finished jobs
 // in the store across all replicas. The replica name is this process's
 // lease holder identity; ttl is the lease duration (renewed at ttl/3 while
 // a job runs).
-// When cells is non-nil, kinds it reports Shardable are planned into durable
-// cell work-units that every replica's claim loops cooperate on; nil keeps
-// every job monolithic.
-func NewDurableJobManager(workers, retain int, st *store.Store, replica string, ttl time.Duration, runner PayloadRunner, cells CellRunner) *JobManager {
+func newDurableJobManager(workers, retain int, st *store.Store, replica string, ttl time.Duration, kinds *kindTable) *JobManager {
 	if workers < 1 {
 		workers = 1
 	}
@@ -93,9 +79,10 @@ func NewDurableJobManager(workers, retain int, st *store.Store, replica string, 
 		ctx:    ctx,
 		cancel: cancel,
 		retain: retain,
+		kinds:  kinds,
 		jobs:   make(map[string]*job),
 		dur: &durable{
-			st: st, replica: replica, ttl: ttl, runner: runner, cells: cells,
+			st: st, replica: replica, ttl: ttl,
 			local: make(map[string]*obs.Progress),
 		},
 	}
@@ -117,11 +104,8 @@ func (m *JobManager) Replica() string {
 	return m.dur.replica
 }
 
-// SubmitPayload appends a job to the shared pool. Durable managers only.
-func (m *JobManager) SubmitPayload(kind string, payload json.RawMessage) (JobStatus, error) {
-	if m.dur == nil {
-		return JobStatus{}, ErrNotDurable
-	}
+// durableSubmit appends a job to the shared pool.
+func (m *JobManager) durableSubmit(kind string, payload []byte) (JobStatus, error) {
 	m.mu.Lock()
 	closed := m.closed
 	m.mu.Unlock()
@@ -179,7 +163,7 @@ func (m *JobManager) claimLoop() {
 			m.runDurable(rec)
 			continue
 		}
-		if m.dur.cells != nil && m.runCells(m.ctx, "") {
+		if m.runCells(m.ctx, "") {
 			continue
 		}
 		m.heartbeat()
@@ -273,17 +257,11 @@ func (m *JobManager) runDurable(rec store.JobRecord) {
 
 	jobsRunning.Inc()
 	started := time.Now()
-	var out string
-	var err error
-	if m.dur.cells != nil && m.dur.cells.Shardable(rec.Kind) {
-		out, err = m.runSharded(ctx, rec, prog)
-	} else {
-		out, err = m.dur.runner(ctx, rec.Kind, rec.Payload, prog)
-	}
+	out, err := m.coordinate(ctx, rec, prog)
 	jobsRunning.Dec()
 	cancel()
 	<-renewDone
-	jobDuration(rec.Kind).Observe(time.Since(started).Seconds())
+	m.kinds.observe(rec.Kind, time.Since(started).Seconds())
 
 	snap := prog.Snapshot()
 	switch {
@@ -306,17 +284,18 @@ func (m *JobManager) runDurable(rec store.JobRecord) {
 	m.maybeCompact()
 }
 
-// runSharded coordinates one sharded job: plan its cells durably, join the
-// workers executing them (every replica's claim loops pick cells up, this
-// one included), and once all cells are terminal gather the result frames
-// and merge them in plan order. Deterministic cells make the merged report
-// byte-identical to a monolithic run, regardless of which replicas executed
-// which cells or how many times a cell was reclaimed.
-func (m *JobManager) runSharded(ctx context.Context, rec store.JobRecord, prog *obs.Progress) (string, error) {
-	n, err := m.dur.cells.CellCount(ctx, rec.Kind, rec.Payload)
+// coordinate runs one claimed job: plan its cells durably, join the workers
+// executing them (every replica's claim loops pick cells up, this one
+// included), and once all cells are terminal gather the result frames and
+// merge them in plan order. Deterministic cells make the merged report
+// byte-identical to an in-process run, regardless of which replicas
+// executed which cells or how many times a cell was reclaimed.
+func (m *JobManager) coordinate(ctx context.Context, rec store.JobRecord, prog *obs.Progress) (string, error) {
+	prepared, err := m.kinds.prepare(rec.Kind, rec.Payload)
 	if err != nil {
 		return "", err
 	}
+	n := prepared.cells
 	if err := m.dur.st.PlanCells(rec.ID, n); err != nil {
 		return "", err
 	}
@@ -378,7 +357,7 @@ func (m *JobManager) runSharded(ctx context.Context, rec store.JobRecord, prog *
 				if err != nil {
 					return "", err
 				}
-				return m.dur.cells.MergeCells(ctx, rec.Kind, rec.Payload, results)
+				return prepared.merge(results)
 			}
 		}
 		if !ran {
@@ -390,10 +369,10 @@ func (m *JobManager) runSharded(ctx context.Context, rec store.JobRecord, prog *
 }
 
 // runCells claims and executes cell work-units — of one job when onlyJob is
-// set (the coordinator joining its own workers), of any sharded job
-// otherwise (an idle claim loop helping out). Completing a cell claims the
-// next in the same store write, so a replica streams through a grid with
-// one fsync per cell. Reports whether any cell was claimed.
+// set (the coordinator joining its own workers), of any job otherwise (an
+// idle claim loop helping out). Completing a cell claims the next in the
+// same store write, so a replica streams through a grid with one fsync per
+// cell. Reports whether any cell was claimed.
 func (m *JobManager) runCells(ctx context.Context, onlyJob string) bool {
 	cell, ok, err := m.dur.st.ClaimCell(m.dur.replica, m.dur.ttl, onlyJob)
 	if err != nil || !ok {
@@ -414,7 +393,7 @@ func (m *JobManager) runCells(ctx context.Context, onlyJob string) bool {
 // reclaimed mid-run and both finish, the duplicate (byte-identical) result
 // is simply ignored.
 func (m *JobManager) runClaimedCell(ctx context.Context, cell store.CellRecord, onlyJob string) (store.CellRecord, bool) {
-	job, ok, err := m.dur.st.Job(cell.Job)
+	rec, ok, err := m.dur.st.Job(cell.Job)
 	if err != nil || !ok {
 		_ = m.dur.st.ReleaseCell(cell.Job, cell.Index, m.dur.replica)
 		return store.CellRecord{}, false
@@ -444,7 +423,11 @@ func (m *JobManager) runClaimedCell(ctx context.Context, cell store.CellRecord, 
 		}
 	}()
 
-	data, err := m.dur.cells.RunCell(cctx, job.Kind, job.Payload, cell.Index, prog)
+	var data []byte
+	prepared, err := m.kinds.prepare(rec.Kind, rec.Payload)
+	if err == nil {
+		data, err = prepared.RunCell(cctx, cell.Index, prog)
+	}
 	cancel()
 	<-renewDone
 	snap := prog.Snapshot()

@@ -2,9 +2,9 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,62 +55,86 @@ func TestDurableManagerRunsPayload(t *testing.T) {
 	dir := t.TempDir()
 	st := openServiceStore(t, dir)
 
-	runner := func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
-		prog.AddCellsTotal(2)
-		prog.AddCellsDone(2)
-		return "ran " + kind + " with " + string(payload), nil
-	}
-	m := NewDurableJobManager(2, 8, st, "alpha", time.Second, runner, nil)
+	kinds := fakeKinds(2, func(_ context.Context, name string, i int, _ *obs.Progress) (string, error) {
+		return fmt.Sprintf("%s/cell-%d;", name, i), nil
+	})
+	m := newDurableJobManager(2, 8, st, "alpha", time.Second, kinds)
 	defer m.Shutdown(context.Background())
 
 	if !m.Durable() || m.Replica() != "alpha" {
 		t.Fatalf("Durable()=%v Replica()=%q", m.Durable(), m.Replica())
 	}
-	status, err := m.SubmitPayload("kind-x", json.RawMessage(`{"n":1}`))
+	status, err := submitNamed(m, "kind-x")
 	if err != nil {
-		t.Fatalf("SubmitPayload: %v", err)
+		t.Fatalf("Submit: %v", err)
 	}
 	if status.State != JobQueued {
 		t.Fatalf("submitted state = %q", status.State)
 	}
 
 	final := waitJobState(t, m, status.ID, JobDone)
-	if final.Output != `ran kind-x with {"n":1}` {
+	if final.Output != "kind-x/cell-0;kind-x/cell-1;" {
 		t.Fatalf("output = %q", final.Output)
 	}
 	if final.Replica != "alpha" || final.Restarts != 0 {
 		t.Fatalf("replica/restarts = %q/%d", final.Replica, final.Restarts)
 	}
-	if final.Progress == nil || final.Progress.CellsDone != 2 {
+	if final.Progress == nil || final.Progress.CellsDone != 2 || final.Progress.CellsTotal != 2 {
 		t.Fatalf("final progress = %+v", final.Progress)
 	}
 	if len(m.List()) != 1 {
 		t.Fatalf("List() = %+v", m.List())
-	}
-
-	// The closure-submit API is the in-memory manager's; durable managers
-	// reject it rather than silently losing durability.
-	if _, err := m.Submit("k", func(ctx context.Context) (string, error) { return "", nil }); err == nil {
-		t.Fatal("closure Submit succeeded on a durable manager")
 	}
 }
 
 func TestDurableManagerFailedJob(t *testing.T) {
 	fastDurable(t)
 	st := openServiceStore(t, t.TempDir())
-	runner := func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
-		return "", errors.New("deliberate failure")
-	}
-	m := NewDurableJobManager(1, 8, st, "alpha", time.Second, runner, nil)
+	m := newDurableJobManager(1, 8, st, "alpha", time.Second,
+		fakeKinds(1, func(context.Context, string, int, *obs.Progress) (string, error) {
+			return "", errors.New("deliberate failure")
+		}))
 	defer m.Shutdown(context.Background())
 
-	status, err := m.SubmitPayload("bad", nil)
+	status, err := submitNamed(m, "bad")
 	if err != nil {
-		t.Fatalf("SubmitPayload: %v", err)
+		t.Fatalf("Submit: %v", err)
 	}
 	final := waitJobState(t, m, status.ID, JobFailed)
-	if final.Error != "deliberate failure" {
+	if final.Error != "cell 0: deliberate failure" {
 		t.Fatalf("error = %q", final.Error)
+	}
+}
+
+// TestDurablePanickingCellFailsJob pins the durable backend's panic
+// recovery: a panicking cell fails its job — stack in the error — instead
+// of killing the replica, and the replica's claim loop serves the next job.
+func TestDurablePanickingCellFailsJob(t *testing.T) {
+	fastDurable(t)
+	st := openServiceStore(t, t.TempDir())
+	m := newDurableJobManager(1, 8, st, "alpha", time.Second,
+		fakeKinds(1, func(_ context.Context, name string, _ int, _ *obs.Progress) (string, error) {
+			if name == "poison" {
+				panic("poisoned cell")
+			}
+			return "survived", nil
+		}))
+	defer m.Shutdown(context.Background())
+
+	poison, err := submitNamed(m, "poison")
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	failed := waitJobState(t, m, poison.ID, JobFailed)
+	if !strings.Contains(failed.Error, "poisoned cell") || !strings.Contains(failed.Error, "goroutine") {
+		t.Errorf("panic error = %q, want the panic value and a stack", failed.Error)
+	}
+	next, err := submitNamed(m, "next")
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if done := waitJobState(t, m, next.ID, JobDone); done.Output != "survived" {
+		t.Errorf("job after the panic: output = %q, want survived", done.Output)
 	}
 }
 
@@ -122,21 +146,23 @@ func TestDurableManagerTwoReplicasShareThePool(t *testing.T) {
 	stA := openServiceStore(t, dir)
 	stB := openServiceStore(t, dir)
 
-	runner := func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
-		time.Sleep(10 * time.Millisecond) // let the pool interleave
-		return "out:" + kind, nil
+	kinds := func() *kindTable {
+		return fakeKinds(1, func(_ context.Context, name string, _ int, _ *obs.Progress) (string, error) {
+			time.Sleep(10 * time.Millisecond) // let the pool interleave
+			return "out:" + name, nil
+		})
 	}
-	a := NewDurableJobManager(2, 32, stA, "alpha", time.Second, runner, nil)
+	a := newDurableJobManager(2, 32, stA, "alpha", time.Second, kinds())
 	defer a.Shutdown(context.Background())
-	b := NewDurableJobManager(2, 32, stB, "beta", time.Second, runner, nil)
+	b := newDurableJobManager(2, 32, stB, "beta", time.Second, kinds())
 	defer b.Shutdown(context.Background())
 
 	const jobs = 12
 	ids := make([]string, jobs)
 	for i := range ids {
-		status, err := a.SubmitPayload(fmt.Sprintf("job%02d", i), nil)
+		status, err := submitNamed(a, fmt.Sprintf("job%02d", i))
 		if err != nil {
-			t.Fatalf("SubmitPayload: %v", err)
+			t.Fatalf("Submit: %v", err)
 		}
 		ids[i] = status.ID
 	}
@@ -167,7 +193,7 @@ func TestDurableManagerReclaimsExpiredLease(t *testing.T) {
 	dir := t.TempDir()
 	stDead := openServiceStore(t, dir)
 
-	rec, err := stDead.SubmitJob("reclaim-me", nil)
+	rec, err := stDead.SubmitJob("reclaim-me", namePayload("reclaim-me"))
 	if err != nil {
 		t.Fatalf("SubmitJob: %v", err)
 	}
@@ -178,10 +204,10 @@ func TestDurableManagerReclaimsExpiredLease(t *testing.T) {
 	}
 
 	stLive := openServiceStore(t, dir)
-	m := NewDurableJobManager(1, 8, stLive, "live", time.Second,
-		func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
+	m := newDurableJobManager(1, 8, stLive, "live", time.Second,
+		fakeKinds(1, func(context.Context, string, int, *obs.Progress) (string, error) {
 			return "rescued", nil
-		}, nil)
+		}))
 	defer m.Shutdown(context.Background())
 
 	final := waitJobState(t, m, rec.ID, JobDone)
@@ -201,16 +227,16 @@ func TestDurableShutdownReleasesRunningJobs(t *testing.T) {
 	stA := openServiceStore(t, dir)
 
 	started := make(chan struct{}, 1)
-	blockingRunner := func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
-		started <- struct{}{}
-		<-ctx.Done() // runs until shutdown cancels it
-		return "should not complete", ctx.Err()
-	}
-	a := NewDurableJobManager(1, 8, stA, "alpha", time.Second, blockingRunner, nil)
+	a := newDurableJobManager(1, 8, stA, "alpha", time.Second,
+		fakeKinds(1, func(ctx context.Context, _ string, _ int, _ *obs.Progress) (string, error) {
+			started <- struct{}{}
+			<-ctx.Done() // runs until shutdown cancels it
+			return "should not complete", ctx.Err()
+		}))
 
-	status, err := a.SubmitPayload("long", nil)
+	status, err := submitNamed(a, "long")
 	if err != nil {
-		t.Fatalf("SubmitPayload: %v", err)
+		t.Fatalf("Submit: %v", err)
 	}
 	<-started
 	if err := a.Shutdown(context.Background()); err != nil {
@@ -227,10 +253,10 @@ func TestDurableShutdownReleasesRunningJobs(t *testing.T) {
 	}
 
 	stB := openServiceStore(t, dir)
-	b := NewDurableJobManager(1, 8, stB, "beta", time.Second,
-		func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
+	b := newDurableJobManager(1, 8, stB, "beta", time.Second,
+		fakeKinds(1, func(context.Context, string, int, *obs.Progress) (string, error) {
 			return "finished elsewhere", nil
-		}, nil)
+		}))
 	defer b.Shutdown(context.Background())
 	final := waitJobState(t, b, status.ID, JobDone)
 	if final.Output != "finished elsewhere" || final.Replica != "beta" {
@@ -249,17 +275,17 @@ func TestDurableRetentionCompactsStore(t *testing.T) {
 
 	dir := t.TempDir()
 	st := openServiceStore(t, dir)
-	m := NewDurableJobManager(1, 2, st, "alpha", time.Second,
-		func(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
+	m := newDurableJobManager(1, 2, st, "alpha", time.Second,
+		fakeKinds(1, func(context.Context, string, int, *obs.Progress) (string, error) {
 			return "ok", nil
-		}, nil)
+		}))
 	defer m.Shutdown(context.Background())
 
 	var last JobStatus
 	for i := 0; i < 6; i++ {
-		status, err := m.SubmitPayload(fmt.Sprintf("k%d", i), nil)
+		status, err := submitNamed(m, fmt.Sprintf("k%d", i))
 		if err != nil {
-			t.Fatalf("SubmitPayload: %v", err)
+			t.Fatalf("Submit: %v", err)
 		}
 		last = waitJobState(t, m, status.ID, JobDone)
 	}
@@ -287,9 +313,9 @@ func TestDurableRetentionCompactsStore(t *testing.T) {
 	}
 }
 
-// The service wires a Store into a durable job manager and registers the
-// environment payload dispatcher: a study submitted through the normal API
-// runs from its durable payload and matches the synchronous result.
+// The service wires a Store into a durable job manager over its job-kind
+// table: a study submitted through the normal API runs as a one-cell job
+// from its durable payload and matches the synchronous result.
 func TestServiceDurableStudyMatchesSynchronous(t *testing.T) {
 	fastDurable(t)
 	dir := t.TempDir()
@@ -313,6 +339,9 @@ func TestServiceDurableStudyMatchesSynchronous(t *testing.T) {
 	}
 	if final.Replica != "svc-test" {
 		t.Fatalf("replica = %q", final.Replica)
+	}
+	if final.Progress == nil || final.Progress.CellsDone != 1 || final.Progress.CellsTotal != 1 {
+		t.Fatalf("study progress = %+v, want 1/1 cells", final.Progress)
 	}
 
 	want, err := svc.RunStudy(context.Background(), req)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -11,11 +12,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/arrival"
-	"repro/internal/campaign"
 	"repro/internal/dag"
 	"repro/internal/obs"
-	"repro/internal/robust"
 )
 
 // apiError is the JSON error payload every handler returns on failure.
@@ -45,9 +43,25 @@ func writeServiceError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusInternalServerError, err)
 }
 
+// maxBodyBytes caps every request body. It comfortably fits a batch of
+// hundreds of suite DAGs or a spec with inline traces at the campaign
+// limits, and keeps one request from holding unbounded memory.
+const maxBodyBytes = 8 << 20
+
+// writeBodyError answers a body that failed to read or decode: 413 past
+// maxBodyBytes, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	}
+	writeError(w, http.StatusBadRequest, err)
+}
+
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		writeBodyError(w, err)
 		return false
 	}
 	return true
@@ -77,8 +91,9 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 //	GET  /metrics            Prometheus text exposition
 //	     /debug/pprof/*      runtime profiles (only with Options.EnablePprof)
 //
-// The job, campaign and robustness poll endpoints accept ?watch=<duration>
-// to long-poll: the response is deferred until the job's state or progress
+// The job routes (submit, list, poll) are registered from the job-kind
+// table (kinds.go). The poll endpoints accept ?watch=<duration> to
+// long-poll: the response is deferred until the job's state or progress
 // changes, or the duration elapses.
 //
 // Every route is wrapped in the observability middleware: per-route request
@@ -96,18 +111,12 @@ func (s *Service) Handler() http.Handler {
 	handleFunc("GET /healthz", s.handleHealth)
 	handleFunc("POST /v1/schedule", s.handleSchedule)
 	handleFunc("POST /v1/simulate", s.handleSimulate)
-	handleFunc("POST /v1/jobs", s.handleSubmitJob)
-	handleFunc("GET /v1/jobs", s.handleListJobs)
-	handleFunc("GET /v1/jobs/{id}", s.handleGetJob)
-	handleFunc("POST /v1/campaigns", s.handleSubmitCampaign)
-	handleFunc("GET /v1/campaigns", s.handleListCampaigns)
-	handleFunc("GET /v1/campaigns/{id}", s.handleGetCampaign)
-	handleFunc("POST /v1/robustness", s.handleSubmitRobustness)
-	handleFunc("GET /v1/robustness", s.handleListRobustness)
-	handleFunc("GET /v1/robustness/{id}", s.handleGetRobustness)
-	handleFunc("POST /v1/arrivals", s.handleSubmitArrival)
-	handleFunc("GET /v1/arrivals", s.handleListArrivals)
-	handleFunc("GET /v1/arrivals/{id}", s.handleGetArrival)
+	for i := range s.kinds.rows {
+		k := &s.kinds.rows[i]
+		handleFunc("POST "+k.route, func(w http.ResponseWriter, r *http.Request) { s.handleSubmit(w, r, k) })
+		handleFunc("GET "+k.route, func(w http.ResponseWriter, r *http.Request) { s.handleList(w, k) })
+		handleFunc("GET "+k.route+"/{id}", func(w http.ResponseWriter, r *http.Request) { s.handleGet(w, r, k) })
+	}
 	handleFunc("GET /v1/models", s.handleModels)
 	handle("GET /metrics", obs.Default.Handler())
 	if s.opts.EnablePprof {
@@ -202,12 +211,14 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Service) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	var req StudyRequest
-	if !decode(w, r, &req) {
+// handleSubmit queues a job of row k from the request body.
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request, k *jobKind) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		writeBodyError(w, err)
 		return
 	}
-	status, err := s.SubmitStudy(req)
+	status, err := s.submitPayload(k, body)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		writeError(w, http.StatusTooManyRequests, err)
@@ -220,8 +231,16 @@ func (s *Service) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Service) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.jobs.List())
+// handleList writes the retained jobs row k owns.
+func (s *Service) handleList(w http.ResponseWriter, k *jobKind) {
+	all := s.jobs.List()
+	out := make([]JobStatus, 0, len(all))
+	for _, j := range all {
+		if k.owns(j.Kind) {
+			out = append(out, j)
+		}
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 // watchParam parses the optional ?watch long-poll parameter: absent means a
@@ -252,10 +271,11 @@ func watchParam(r *http.Request) (time.Duration, bool, error) {
 	return d, true, nil
 }
 
-// getJob serves the job poll endpoints: a plain status read, or — with
+// handleGet serves the job poll endpoints: a plain status read, or — with
 // ?watch — a long-poll that responds as soon as the job's state or progress
-// moves. pred filters the job kinds the endpoint exposes.
-func (s *Service) getJob(w http.ResponseWriter, r *http.Request, pred func(string) bool, notFound string) {
+// moves. Only jobs row k owns are visible on its route.
+func (s *Service) handleGet(w http.ResponseWriter, r *http.Request, k *jobKind) {
+	notFound := errors.New("service: no such " + k.noun)
 	d, watch, err := watchParam(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -263,112 +283,17 @@ func (s *Service) getJob(w http.ResponseWriter, r *http.Request, pred func(strin
 	}
 	id := r.PathValue("id")
 	status, ok := s.jobs.Get(id)
-	if !ok || !pred(status.Kind) {
-		writeError(w, http.StatusNotFound, errors.New(notFound))
+	if !ok || !k.owns(status.Kind) {
+		writeError(w, http.StatusNotFound, notFound)
 		return
 	}
 	if watch {
 		if status, ok = s.jobs.Watch(r.Context(), id, d); !ok {
-			writeError(w, http.StatusNotFound, errors.New(notFound))
+			writeError(w, http.StatusNotFound, notFound)
 			return
 		}
 	}
 	writeJSON(w, http.StatusOK, status)
-}
-
-func (s *Service) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	s.getJob(w, r, func(string) bool { return true }, "service: no such job")
-}
-
-func (s *Service) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
-	var spec campaign.Spec
-	if !decode(w, r, &spec) {
-		return
-	}
-	status, err := s.SubmitCampaign(spec)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case err != nil:
-		writeServiceError(w, err)
-	default:
-		writeJSON(w, http.StatusAccepted, status)
-	}
-}
-
-// listJobsByKind writes the retained jobs whose kind satisfies pred — the
-// shared body of the campaign and robustness listing endpoints.
-func (s *Service) listJobsByKind(w http.ResponseWriter, pred func(string) bool) {
-	all := s.jobs.List()
-	out := make([]JobStatus, 0, len(all))
-	for _, j := range all {
-		if pred(j.Kind) {
-			out = append(out, j)
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Service) handleListCampaigns(w http.ResponseWriter, r *http.Request) {
-	s.listJobsByKind(w, isCampaignKind)
-}
-
-func (s *Service) handleGetCampaign(w http.ResponseWriter, r *http.Request) {
-	s.getJob(w, r, isCampaignKind, "service: no such campaign")
-}
-
-func (s *Service) handleSubmitRobustness(w http.ResponseWriter, r *http.Request) {
-	var spec robust.Spec
-	if !decode(w, r, &spec) {
-		return
-	}
-	status, err := s.SubmitRobustness(spec)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case err != nil:
-		writeServiceError(w, err)
-	default:
-		writeJSON(w, http.StatusAccepted, status)
-	}
-}
-
-func (s *Service) handleListRobustness(w http.ResponseWriter, r *http.Request) {
-	s.listJobsByKind(w, isRobustKind)
-}
-
-func (s *Service) handleGetRobustness(w http.ResponseWriter, r *http.Request) {
-	s.getJob(w, r, isRobustKind, "service: no such robustness study")
-}
-
-func (s *Service) handleSubmitArrival(w http.ResponseWriter, r *http.Request) {
-	var spec arrival.Spec
-	if !decode(w, r, &spec) {
-		return
-	}
-	status, err := s.SubmitArrival(spec)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err)
-	case err != nil:
-		writeServiceError(w, err)
-	default:
-		writeJSON(w, http.StatusAccepted, status)
-	}
-}
-
-func (s *Service) handleListArrivals(w http.ResponseWriter, r *http.Request) {
-	s.listJobsByKind(w, isArrivalKind)
-}
-
-func (s *Service) handleGetArrival(w http.ResponseWriter, r *http.Request) {
-	s.getJob(w, r, isArrivalKind, "service: no such arrival scenario")
 }
 
 func (s *Service) handleModels(w http.ResponseWriter, r *http.Request) {

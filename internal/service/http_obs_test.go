@@ -191,21 +191,21 @@ func TestWatchLongPoll(t *testing.T) {
 	watchPoll = 5 * time.Millisecond
 	defer func() { watchPoll = old }()
 
-	m := NewJobManager(1, 4, 4)
-	defer m.Shutdown(context.Background())
-
 	release := make(chan struct{})
 	var prog *obs.Progress
 	var mu sync.Mutex
 	started := make(chan struct{})
-	status, err := m.SubmitTracked("study", func(ctx context.Context, p *obs.Progress) (string, error) {
+	m := newJobManager(1, 4, 4, fakeKinds(1, func(_ context.Context, _ string, _ int, p *obs.Progress) (string, error) {
 		mu.Lock()
 		prog = p
 		mu.Unlock()
 		close(started)
 		<-release
 		return "out", nil
-	})
+	}))
+	defer m.Shutdown(context.Background())
+
+	status, err := submitNamed(m, "study")
 	if err != nil {
 		t.Fatal(err)
 	}

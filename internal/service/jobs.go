@@ -14,8 +14,9 @@ import (
 )
 
 // Job-queue telemetry: submission and completion counters (by terminal
-// state), live queue-depth and running gauges, and duration histograms by
-// job family. All process-wide; multiple managers share the series.
+// state) and live queue-depth and running gauges; duration histograms by
+// job family live with the job-kind table (kinds.go). All process-wide;
+// multiple managers share the series.
 var (
 	jobsSubmitted = obs.Default.Counter("repro_jobs_submitted_total",
 		"Jobs accepted into the queue.")
@@ -29,26 +30,7 @@ var (
 		"Jobs waiting in the queue.")
 	jobsRunning = obs.Default.Gauge("repro_jobs_running",
 		"Jobs currently executing.")
-	jobDurStudy = obs.Default.Histogram("repro_job_duration_seconds",
-		"Job wall-clock duration, by job family.", obs.FitBuckets, obs.L("kind", "study"))
-	jobDurCampaign = obs.Default.Histogram("repro_job_duration_seconds",
-		"Job wall-clock duration, by job family.", obs.FitBuckets, obs.L("kind", "campaign"))
-	jobDurRobust = obs.Default.Histogram("repro_job_duration_seconds",
-		"Job wall-clock duration, by job family.", obs.FitBuckets, obs.L("kind", "robust"))
 )
-
-// jobDuration maps a job kind to its family's duration histogram; the family
-// set is closed, so label cardinality cannot grow with user-chosen names.
-func jobDuration(kind string) *obs.Histogram {
-	switch {
-	case isCampaignKind(kind):
-		return jobDurCampaign
-	case isRobustKind(kind):
-		return jobDurRobust
-	default:
-		return jobDurStudy
-	}
-}
 
 // JobState is the lifecycle of a queued study run.
 type JobState string
@@ -81,9 +63,9 @@ type JobStatus struct {
 	Output string `json:"output,omitempty"`
 	// Error is the failure message for failed/cancelled jobs.
 	Error string `json:"error,omitempty"`
-	// Progress is the live (or, once finished, final) progress snapshot of
-	// jobs submitted with SubmitTracked: cells completed and — for Monte
-	// Carlo studies — trials drawn against the budget.
+	// Progress is the live (or, once finished, final) progress snapshot:
+	// cells completed and — for Monte Carlo studies — trials drawn against
+	// the budget.
 	Progress *obs.ProgressSnapshot `json:"progress,omitempty"`
 	// Replica is the lease holder running (or, once finished, the one that
 	// ran) the job; set only on store-backed clusters.
@@ -93,16 +75,9 @@ type JobStatus struct {
 	Restarts int `json:"restarts,omitempty"`
 }
 
-// JobFunc is the work a job performs; it must honour ctx promptly.
-type JobFunc func(ctx context.Context) (string, error)
-
-// TrackedJobFunc is a JobFunc that reports live progress: the manager owns
-// the record and snapshots it into every status read while the job runs.
-type TrackedJobFunc func(ctx context.Context, prog *obs.Progress) (string, error)
-
 type job struct {
 	status   JobStatus
-	fn       JobFunc
+	payload  []byte
 	progress *obs.Progress
 }
 
@@ -112,17 +87,20 @@ var ErrQueueFull = errors.New("service: job queue full")
 // ErrShuttingDown is returned by Submit after Shutdown started.
 var ErrShuttingDown = errors.New("service: shutting down")
 
-// JobManager runs submitted jobs on a fixed worker pool, tracks their
-// states, and retains the results of the most recent finished jobs. It has
-// two backends: in-memory (NewJobManager — a bounded queue, everything dies
-// with the process) and durable (NewDurableJobManager — a shared store.Store
-// where N replicas claim jobs by lease; see durable.go).
+// JobManager runs submitted (kind, payload) jobs on a fixed worker pool,
+// tracks their states, and retains the results of the most recent finished
+// jobs. Every job executes as the cell job its kind prepares (kinds.go). It
+// has two backends: in-memory (newJobManager — a bounded queue running each
+// job's cells in order, everything dies with the process) and durable
+// (newDurableJobManager — a shared store.Store where N replicas claim jobs
+// and their cells by lease; see durable.go).
 type JobManager struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	queue  chan *job
 	wg     sync.WaitGroup
 	retain int
+	kinds  *kindTable
 
 	// dur is non-nil for store-backed managers.
 	dur *durable
@@ -134,10 +112,10 @@ type JobManager struct {
 	closed   bool
 }
 
-// NewJobManager starts workers goroutines over a queue of queueCap pending
+// newJobManager starts workers goroutines over a queue of queueCap pending
 // jobs, retaining the last retain finished jobs (all values are clamped to
 // at least 1).
-func NewJobManager(workers, queueCap, retain int) *JobManager {
+func newJobManager(workers, queueCap, retain int, kinds *kindTable) *JobManager {
 	if workers < 1 {
 		workers = 1
 	}
@@ -153,6 +131,7 @@ func NewJobManager(workers, queueCap, retain int) *JobManager {
 		cancel: cancel,
 		queue:  make(chan *job, queueCap),
 		retain: retain,
+		kinds:  kinds,
 		jobs:   make(map[string]*job),
 	}
 	for i := 0; i < workers; i++ {
@@ -190,14 +169,14 @@ func (m *JobManager) run(j *job) {
 	m.mu.Unlock()
 
 	jobsRunning.Inc()
-	out, err := j.fn(m.ctx)
+	out, err := m.runInProcess(j)
 	jobsRunning.Dec()
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ended := time.Now()
 	j.status.Ended = &ended
-	jobDuration(j.status.Kind).Observe(ended.Sub(started).Seconds())
+	m.kinds.observe(j.status.Kind, ended.Sub(started).Seconds())
 	switch {
 	case err == nil:
 		j.status.State = JobDone
@@ -226,25 +205,23 @@ func (m *JobManager) finish(id string) {
 	}
 }
 
-// Submit enqueues a job and returns its initial status. It never blocks:
-// a full queue returns ErrQueueFull.
-func (m *JobManager) Submit(kind string, fn JobFunc) (JobStatus, error) {
-	return m.submit(kind, fn, nil)
+// runInProcess prepares a job from its payload and runs its cells in
+// order — the same loop the service's synchronous Run* methods use.
+func (m *JobManager) runInProcess(j *job) (string, error) {
+	prepared, err := m.kinds.prepare(j.status.Kind, j.payload)
+	if err != nil {
+		return "", err
+	}
+	return runInOrder(m.ctx, prepared, j.progress)
 }
 
-// SubmitTracked enqueues a job that reports live progress: fn receives a
-// progress record owned by the manager, and every status read while (and
-// after) the job runs carries its latest snapshot — the data behind the
-// ?watch long-poll and the CLI progress ticker. The record is write-only
-// for fn; nothing the job computes may depend on it.
-func (m *JobManager) SubmitTracked(kind string, fn TrackedJobFunc) (JobStatus, error) {
-	prog := &obs.Progress{}
-	return m.submit(kind, func(ctx context.Context) (string, error) { return fn(ctx, prog) }, prog)
-}
-
-func (m *JobManager) submit(kind string, fn JobFunc, prog *obs.Progress) (JobStatus, error) {
+// Submit queues a job of the given kind and returns its initial status; the
+// payload is the kind's spec, resolved when the job runs. The in-memory
+// backend never blocks: a full queue returns ErrQueueFull. The durable
+// backend appends the job to the shared pool.
+func (m *JobManager) Submit(kind string, payload []byte) (JobStatus, error) {
 	if m.dur != nil {
-		return JobStatus{}, errors.New("service: closure submits need the in-memory manager; durable jobs go through SubmitPayload")
+		return m.durableSubmit(kind, payload)
 	}
 	m.mu.Lock()
 	if m.closed {
@@ -259,8 +236,8 @@ func (m *JobManager) submit(kind string, fn JobFunc, prog *obs.Progress) (JobSta
 			State:   JobQueued,
 			Created: time.Now(),
 		},
-		fn:       fn,
-		progress: prog,
+		payload:  payload,
+		progress: &obs.Progress{},
 	}
 	m.jobs[j.status.ID] = j
 	// Copy before enqueueing: a worker may start mutating j.status the
@@ -281,14 +258,12 @@ func (m *JobManager) submit(kind string, fn JobFunc, prog *obs.Progress) (JobSta
 	}
 }
 
-// statusLocked copies a job's status, stamping tracked jobs with their
-// current progress snapshot. Callers hold m.mu.
+// statusLocked copies a job's status, stamping it with the job's current
+// progress snapshot. Callers hold m.mu.
 func (m *JobManager) statusLocked(j *job) JobStatus {
 	status := j.status
-	if j.progress != nil {
-		snap := j.progress.Snapshot()
-		status.Progress = &snap
-	}
+	snap := j.progress.Snapshot()
+	status.Progress = &snap
 	return status
 }
 

@@ -1,11 +1,47 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
+
+// fakeKinds is a one-row job-kind table for manager tests. A job's payload
+// is a JSON string, its name; the name prepares into cells cells, cell i's
+// frame is run(ctx, name, i, prog), and the merge concatenates the frames
+// in order. The row observes no duration histogram, so manager tests leave
+// the service's per-family series alone.
+func fakeKinds(cells int, run func(ctx context.Context, name string, i int, prog *obs.Progress) (string, error)) *kindTable {
+	return newKindTable(jobKind{prefix: "", route: "/v1/jobs", noun: "job",
+		prepare: func(payload []byte) (*cellJob, error) {
+			var name string
+			if err := json.Unmarshal(payload, &name); err != nil {
+				return nil, err
+			}
+			return &cellJob{kind: name, payload: payload, cells: cells,
+				run: func(ctx context.Context, i int, prog *obs.Progress) ([]byte, error) {
+					out, err := run(ctx, name, i, prog)
+					return []byte(out), err
+				},
+				merge: func(frames [][]byte) (string, error) { return string(bytes.Join(frames, nil)), nil },
+			}, nil
+		}})
+}
+
+// namePayload is a fake job's payload.
+func namePayload(name string) []byte { return []byte(strconv.Quote(name)) }
+
+// submitNamed submits a fake job kinded and named name.
+func submitNamed(m *JobManager, name string) (JobStatus, error) {
+	return m.Submit(name, namePayload(name))
+}
 
 // waitState polls until the job reaches one of the wanted states.
 func waitState(t *testing.T, m *JobManager, id string, want ...JobState) JobStatus {
@@ -29,12 +65,15 @@ func waitState(t *testing.T, m *JobManager, id string, want ...JobState) JobStat
 }
 
 func TestJobLifecycle(t *testing.T) {
-	m := NewJobManager(2, 4, 8)
+	m := newJobManager(2, 4, 8, fakeKinds(1, func(ctx context.Context, name string, _ int, _ *obs.Progress) (string, error) {
+		if name == "fail" {
+			return "", errors.New("boom")
+		}
+		return "hello", nil
+	}))
 	defer m.Shutdown(context.Background())
 
-	status, err := m.Submit("greet", func(ctx context.Context) (string, error) {
-		return "hello", nil
-	})
+	status, err := submitNamed(m, "greet")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +88,7 @@ func TestJobLifecycle(t *testing.T) {
 		t.Errorf("unexpected error %q", done.Error)
 	}
 
-	status, err = m.Submit("fail", func(ctx context.Context) (string, error) {
-		return "", errors.New("boom")
-	})
+	status, err = submitNamed(m, "fail")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,22 +99,21 @@ func TestJobLifecycle(t *testing.T) {
 }
 
 func TestJobQueueBounded(t *testing.T) {
-	m := NewJobManager(1, 2, 8)
-	defer m.Shutdown(context.Background())
-
 	block := make(chan struct{})
-	release := func(ctx context.Context) (string, error) {
+	m := newJobManager(1, 2, 8, fakeKinds(1, func(ctx context.Context, _ string, _ int, _ *obs.Progress) (string, error) {
 		select {
 		case <-block:
 			return "ok", nil
 		case <-ctx.Done():
 			return "", ctx.Err()
 		}
-	}
+	}))
+	defer m.Shutdown(context.Background())
+
 	// One running + two queued fill the pool and the queue.
 	var ids []string
 	for i := 0; i < 3; i++ {
-		status, err := m.Submit("block", release)
+		status, err := submitNamed(m, "block")
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -86,7 +122,7 @@ func TestJobQueueBounded(t *testing.T) {
 			waitState(t, m, status.ID, JobRunning)
 		}
 	}
-	if _, err := m.Submit("overflow", release); !errors.Is(err, ErrQueueFull) {
+	if _, err := submitNamed(m, "overflow"); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit: err = %v, want ErrQueueFull", err)
 	}
 	close(block)
@@ -96,12 +132,14 @@ func TestJobQueueBounded(t *testing.T) {
 }
 
 func TestShutdownCancelsQueuedAndRunningJobs(t *testing.T) {
-	m := NewJobManager(1, 4, 8)
+	m := newJobManager(1, 4, 8, fakeKinds(1, func(ctx context.Context, name string, _ int, _ *obs.Progress) (string, error) {
+		if name == "running" {
+			<-ctx.Done() // honours cancellation, like the studies do
+		}
+		return "should not run", ctx.Err()
+	}))
 
-	running, err := m.Submit("running", func(ctx context.Context) (string, error) {
-		<-ctx.Done() // honours cancellation, like the studies do
-		return "", ctx.Err()
-	})
+	running, err := submitNamed(m, "running")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +147,7 @@ func TestShutdownCancelsQueuedAndRunningJobs(t *testing.T) {
 
 	var queued []string
 	for i := 0; i < 3; i++ {
-		status, err := m.Submit("queued", func(ctx context.Context) (string, error) {
-			return "should not run", ctx.Err()
-		})
+		status, err := submitNamed(m, "queued")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,18 +175,18 @@ func TestShutdownCancelsQueuedAndRunningJobs(t *testing.T) {
 		}
 	}
 
-	if _, err := m.Submit("late", func(ctx context.Context) (string, error) { return "", nil }); !errors.Is(err, ErrShuttingDown) {
+	if _, err := submitNamed(m, "late"); !errors.Is(err, ErrShuttingDown) {
 		t.Errorf("submit after shutdown: err = %v, want ErrShuttingDown", err)
 	}
 }
 
 func TestJobRetentionEvictsOldest(t *testing.T) {
-	m := NewJobManager(1, 8, 2)
+	m := newJobManager(1, 8, 2, fakeKinds(1, func(context.Context, string, int, *obs.Progress) (string, error) { return "ok", nil }))
 	defer m.Shutdown(context.Background())
 
 	var ids []string
 	for i := 0; i < 5; i++ {
-		status, err := m.Submit("quick", func(ctx context.Context) (string, error) { return "ok", nil })
+		status, err := submitNamed(m, "quick")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,5 +203,34 @@ func TestJobRetentionEvictsOldest(t *testing.T) {
 	}
 	if _, ok := m.Get(ids[0]); ok {
 		t.Errorf("oldest job %s still retrievable", ids[0])
+	}
+}
+
+// TestPanickingCellFailsJob pins the in-memory backend's panic recovery: a
+// cell that panics fails its job with the panic and the stack in the
+// error, and the same worker goes on to run the next job.
+func TestPanickingCellFailsJob(t *testing.T) {
+	m := newJobManager(1, 4, 8, fakeKinds(1, func(_ context.Context, name string, _ int, _ *obs.Progress) (string, error) {
+		if name == "poison" {
+			panic("poisoned cell")
+		}
+		return "survived", nil
+	}))
+	defer m.Shutdown(context.Background())
+
+	poison, err := submitNamed(m, "poison")
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := waitState(t, m, poison.ID, JobFailed)
+	if !strings.Contains(failed.Error, "poisoned cell") || !strings.Contains(failed.Error, "goroutine") {
+		t.Errorf("panic error = %q, want the panic value and a stack", failed.Error)
+	}
+	next, err := submitNamed(m, "next")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := waitState(t, m, next.ID, JobDone); done.Output != "survived" {
+		t.Errorf("job after the panic: output = %q, want survived", done.Output)
 	}
 }

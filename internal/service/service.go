@@ -1,13 +1,10 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,7 +14,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/dag"
 	"repro/internal/experiments"
-	"repro/internal/obs"
 	"repro/internal/perfmodel"
 	"repro/internal/platform"
 	"repro/internal/profiler"
@@ -66,11 +62,6 @@ type Options struct {
 	// (default 10s). A replica that misses renewals for a full TTL loses its
 	// jobs to the reclaimer. Only meaningful with a Store.
 	LeaseTTL time.Duration
-	// NoShard disables cell-sharded execution of campaign and robustness
-	// jobs: the claiming replica runs the whole job as a monolith, as before
-	// PR 9. Sharding is on by default; reports are byte-identical either
-	// way. Only meaningful with a Store.
-	NoShard bool
 }
 
 // DefaultOptions mirrors the paper's evaluation setup.
@@ -106,15 +97,14 @@ type Service struct {
 	netMu sync.Mutex
 	nets  map[string]*simgrid.Net
 
-	// Sharded-execution state: long-lived per-cell engines (their scratch
-	// and runner pools persist across the cells this replica executes) and
-	// the prepared-plan cache behind preparedShard.
-	shardCamp  *campaign.Engine
-	shardRob   *robust.Engine
-	shardArr   *arrival.Engine
-	shardMu    sync.Mutex
-	shards     map[string]*preparedShard
-	shardOrder []string
+	// kinds is the job-kind table (kinds.go) both job managers and the
+	// synchronous Run* methods execute through; the per-cell engines behind
+	// it are long-lived, so their scratch and runner pools persist across
+	// the cells this replica executes.
+	kinds     *kindTable
+	campaigns *campaign.Engine
+	robusts   *robust.Engine
+	arrivals  *arrival.Engine
 }
 
 // labKey identifies one assembled lab (one workload × one environment).
@@ -169,67 +159,20 @@ func New(opts Options) *Service {
 		start:    time.Now(),
 		labs:     make(map[labKey]*labEntry),
 		nets:     make(map[string]*simgrid.Net),
-		shards:   make(map[string]*preparedShard),
 	}
-	s.shardCamp = &campaign.Engine{Source: s.registry, Workers: opts.Parallelism}
-	s.shardRob = &robust.Engine{Source: s.registry, Workers: opts.Parallelism}
-	s.shardArr = &arrival.Engine{Source: s.registry, Workers: opts.Parallelism}
+	s.campaigns = &campaign.Engine{Source: s.registry, Workers: opts.Parallelism}
+	s.robusts = &robust.Engine{Source: s.registry, Workers: opts.Parallelism}
+	s.arrivals = &arrival.Engine{Source: s.registry, Workers: opts.Parallelism}
+	s.kinds = newKindTable(s.kindRows()...)
 	if opts.Store != nil {
 		s.registry.SetStore(opts.Store)
 		s.registry.Warm()
-		var cells CellRunner
-		if !opts.NoShard {
-			cells = shardRunner{s}
-		}
-		s.jobs = NewDurableJobManager(opts.JobWorkers, opts.Retain,
-			opts.Store, opts.ReplicaID, opts.LeaseTTL, s.runPayload, cells)
+		s.jobs = newDurableJobManager(opts.JobWorkers, opts.Retain,
+			opts.Store, opts.ReplicaID, opts.LeaseTTL, s.kinds)
 	} else {
-		s.jobs = NewJobManager(opts.JobWorkers, opts.QueueCap, opts.Retain)
+		s.jobs = newJobManager(opts.JobWorkers, opts.QueueCap, opts.Retain, s.kinds)
 	}
 	return s
-}
-
-// runPayload is the durable pool's dispatcher: it rematerialises a claimed
-// job from its submission record. Campaign and robustness kinds carry their
-// spec as the payload; every other kind is a study request. Because the
-// specs are normalized at submission, a replayed run resolves the same
-// seeds — and so the same reports — as the submitting replica would have.
-func (s *Service) runPayload(ctx context.Context, kind string, payload []byte, prog *obs.Progress) (string, error) {
-	switch {
-	case isCampaignKind(kind):
-		var spec campaign.Spec
-		if err := json.Unmarshal(payload, &spec); err != nil {
-			return "", fmt.Errorf("service: campaign payload: %w", err)
-		}
-		return s.runCampaign(ctx, spec, prog)
-	case isRobustKind(kind):
-		var spec robust.Spec
-		if err := json.Unmarshal(payload, &spec); err != nil {
-			return "", fmt.Errorf("service: robustness payload: %w", err)
-		}
-		return s.runRobustness(ctx, spec, prog)
-	case isArrivalKind(kind):
-		var spec arrival.Spec
-		if err := json.Unmarshal(payload, &spec); err != nil {
-			return "", fmt.Errorf("service: arrival payload: %w", err)
-		}
-		return s.runArrival(ctx, spec, prog)
-	default:
-		var req StudyRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return "", fmt.Errorf("service: study payload: %w", err)
-		}
-		return s.RunStudy(ctx, req)
-	}
-}
-
-// submitDurable marshals a validated submission into the shared pool.
-func (s *Service) submitDurable(kind string, v any) (JobStatus, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	return s.jobs.SubmitPayload(kind, payload)
 }
 
 // net returns the cached network of an environment, building it on first
@@ -701,235 +644,12 @@ func (s *Service) lab(env string, cfg experiments.Config) (*experiments.Lab, err
 	return e.lab, e.err
 }
 
-// SubmitStudy queues a study run and returns its job status.
-func (s *Service) SubmitStudy(req StudyRequest) (JobStatus, error) {
-	if !validStudy(req.Study) {
-		return JobStatus{}, badRequest{fmt.Errorf("service: unknown study %q (want one of %v)", req.Study, StudyNames())}
-	}
-	if req.Environment == "" {
-		req.Environment = "bayreuth"
-	}
-	if _, err := s.registry.Environment(req.Environment); err != nil {
-		return JobStatus{}, badRequest{err}
-	}
-	if s.jobs.Durable() {
-		return s.submitDurable(req.Study, req)
-	}
-	return s.jobs.Submit(req.Study, func(ctx context.Context) (string, error) {
-		return s.RunStudy(ctx, req)
-	})
-}
-
-// RunStudy executes one study synchronously and returns the rendered
-// report, byte-identical to cmd/mixedsim's output for the same seeds (both
-// render through experiments.RenderStudy; only the lab's provenance
-// differs — the service assembles its labs from registry-cached fits).
-func (s *Service) RunStudy(ctx context.Context, req StudyRequest) (string, error) {
+// renderStudy executes one study and renders its report, byte-identical to
+// cmd/mixedsim's output for the same seeds (both render through
+// experiments.RenderStudy; only the lab's provenance differs — the service
+// assembles its labs from registry-cached fits).
+func (s *Service) renderStudy(ctx context.Context, req StudyRequest, w io.Writer) error {
 	cfg := s.config(req)
 	labFn := func() (*experiments.Lab, error) { return s.lab(req.Environment, cfg) }
-	var buf bytes.Buffer
-	if err := experiments.RenderStudy(ctx, req.Study, cfg, labFn, &buf); err != nil {
-		return "", err
-	}
-	return buf.String(), nil
-}
-
-// -------------------------------------------------------------- campaigns
-
-// campaignKindPrefix marks campaign jobs in the shared job store.
-const campaignKindPrefix = "campaign"
-
-// isCampaignKind reports whether a job kind belongs to a campaign.
-func isCampaignKind(kind string) bool { return strings.HasPrefix(kind, campaignKindPrefix) }
-
-// normalizeCampaign fills a campaign spec's seed defaults from the service
-// options, so campaigns, schedule requests and study jobs all share the
-// same fitted models by default. An axis that already names workloads —
-// suite seeds, traces or shapes — is left alone: the suite default only
-// applies to a fully empty axis.
-func (s *Service) normalizeCampaign(spec campaign.Spec) campaign.Spec {
-	if spec.Seed == 0 {
-		spec.Seed = s.opts.Seed
-	}
-	if spec.Workloads.IsEmpty() {
-		spec.Workloads.SuiteSeeds = []int64{s.opts.SuiteSeed}
-	}
-	return spec
-}
-
-// SubmitCampaign validates a declarative what-if sweep and queues it as an
-// async job (kind "campaign" or "campaign:<name>"). Invalid specs —
-// unknown axis values, empty grids, grids beyond the campaign limits — are
-// rejected up front as bad requests, before any fitting campaign runs.
-func (s *Service) SubmitCampaign(spec campaign.Spec) (JobStatus, error) {
-	spec = s.normalizeCampaign(spec)
-	plan, err := spec.Plan()
-	if err != nil {
-		return JobStatus{}, badRequest{err}
-	}
-	if _, err := s.registry.Environment(plan.Spec.Platforms.Base); err != nil {
-		return JobStatus{}, badRequest{err}
-	}
-	kind := campaignKindPrefix
-	if spec.Name != "" {
-		kind += ":" + spec.Name
-	}
-	if s.jobs.Durable() {
-		return s.submitDurable(kind, spec)
-	}
-	return s.jobs.SubmitTracked(kind, func(ctx context.Context, prog *obs.Progress) (string, error) {
-		return s.runCampaign(ctx, spec, prog)
-	})
-}
-
-// RunCampaign executes a campaign synchronously against the service's
-// fit-once registry and returns the rendered report. Derived platforms are
-// registered under deterministic names, so repeated campaigns (and plain
-// schedule requests against the same derived platforms) reuse the fits.
-func (s *Service) RunCampaign(ctx context.Context, spec campaign.Spec) (string, error) {
-	return s.runCampaign(ctx, spec, nil)
-}
-
-// runCampaign is RunCampaign with an optional live progress record (attached
-// by the job manager for queued campaigns). Progress is write-only in the
-// engine, so the report is byte-identical with or without it.
-func (s *Service) runCampaign(ctx context.Context, spec campaign.Spec, prog *obs.Progress) (string, error) {
-	spec = s.normalizeCampaign(spec)
-	eng := campaign.Engine{Source: s.registry, Workers: s.opts.Parallelism, Progress: prog}
-	res, err := eng.Run(ctx, spec)
-	if err != nil {
-		return "", err
-	}
-	var buf bytes.Buffer
-	res.Write(&buf)
-	return buf.String(), nil
-}
-
-// ------------------------------------------------------------- robustness
-
-// robustKindPrefix marks robustness jobs in the shared job store.
-const robustKindPrefix = "robust"
-
-// isRobustKind reports whether a job kind belongs to a robustness study.
-func isRobustKind(kind string) bool { return strings.HasPrefix(kind, robustKindPrefix) }
-
-// normalizeRobustness fills a robustness spec's seed defaults from the
-// service options — the embedded campaign normalizes exactly like a plain
-// campaign submission, so a robustness study's base grid shares its fitted
-// models with every other consumer of the registry.
-func (s *Service) normalizeRobustness(spec robust.Spec) robust.Spec {
-	spec.Spec = s.normalizeCampaign(spec.Spec)
-	return spec
-}
-
-// SubmitRobustness validates a Monte Carlo robustness study and queues it
-// as an async job (kind "robust" or "robust:<name>"). Invalid specs — bad
-// campaign axes, bad noise dimensions, trial budgets beyond the limits —
-// are rejected up front as bad requests, before any fitting or trials run.
-func (s *Service) SubmitRobustness(spec robust.Spec) (JobStatus, error) {
-	spec = s.normalizeRobustness(spec)
-	plan, err := spec.Plan()
-	if err != nil {
-		return JobStatus{}, badRequest{err}
-	}
-	if _, err := s.registry.Environment(plan.Campaign.Spec.Platforms.Base); err != nil {
-		return JobStatus{}, badRequest{err}
-	}
-	kind := robustKindPrefix
-	if spec.Name != "" {
-		kind += ":" + spec.Name
-	}
-	if s.jobs.Durable() {
-		return s.submitDurable(kind, spec)
-	}
-	return s.jobs.SubmitTracked(kind, func(ctx context.Context, prog *obs.Progress) (string, error) {
-		return s.runRobustness(ctx, spec, prog)
-	})
-}
-
-// RunRobustness executes a robustness study synchronously against the
-// service's fit-once registry and returns the rendered report: the base
-// campaign (byte-identical to submitting it as a plain campaign) followed
-// by the winner-stability sections.
-func (s *Service) RunRobustness(ctx context.Context, spec robust.Spec) (string, error) {
-	return s.runRobustness(ctx, spec, nil)
-}
-
-// runRobustness is RunRobustness with an optional live progress record; as
-// with campaigns, attaching one cannot change a byte of the report.
-func (s *Service) runRobustness(ctx context.Context, spec robust.Spec, prog *obs.Progress) (string, error) {
-	spec = s.normalizeRobustness(spec)
-	eng := robust.Engine{Source: s.registry, Workers: s.opts.Parallelism, Progress: prog}
-	res, err := eng.Run(ctx, spec)
-	if err != nil {
-		return "", err
-	}
-	var buf bytes.Buffer
-	res.Write(&buf)
-	return buf.String(), nil
-}
-
-// --------------------------------------------------------------- arrivals
-
-// arrivalKindPrefix marks online-arrival jobs in the shared job store.
-const arrivalKindPrefix = "arrival"
-
-// isArrivalKind reports whether a job kind belongs to an arrival scenario.
-func isArrivalKind(kind string) bool { return strings.HasPrefix(kind, arrivalKindPrefix) }
-
-// normalizeArrival fills an arrival spec's seed defaults from the service
-// options: the noise seed and — only for a fully empty workload axis — the
-// service's Table I suite seed, exactly as for campaigns.
-func (s *Service) normalizeArrival(spec arrival.Spec) arrival.Spec {
-	if spec.Seed == 0 {
-		spec.Seed = s.opts.Seed
-	}
-	if spec.Workloads.IsEmpty() {
-		spec.Workloads.SuiteSeeds = []int64{s.opts.SuiteSeed}
-	}
-	return spec
-}
-
-// SubmitArrival validates an online-arrival scenario and queues it as an
-// async job (kind "arrival" or "arrival:<name>"). Invalid specs — unknown
-// axes, bad processes, unloadable traces — are rejected up front as bad
-// requests, before any fitting campaign runs.
-func (s *Service) SubmitArrival(spec arrival.Spec) (JobStatus, error) {
-	spec = s.normalizeArrival(spec)
-	// Prepare expands the plan, resolves the environment and checks the
-	// partition geometry — the whole rejection surface — without fitting
-	// anything, so invalid scenarios 400 at submit time.
-	if _, err := s.shardArr.Prepare(spec); err != nil {
-		return JobStatus{}, badRequest{err}
-	}
-	kind := arrivalKindPrefix
-	if spec.Name != "" {
-		kind += ":" + spec.Name
-	}
-	if s.jobs.Durable() {
-		return s.submitDurable(kind, spec)
-	}
-	return s.jobs.SubmitTracked(kind, func(ctx context.Context, prog *obs.Progress) (string, error) {
-		return s.runArrival(ctx, spec, prog)
-	})
-}
-
-// RunArrival executes an online-arrival scenario synchronously against the
-// service's fit-once registry and returns the rendered report.
-func (s *Service) RunArrival(ctx context.Context, spec arrival.Spec) (string, error) {
-	return s.runArrival(ctx, spec, nil)
-}
-
-// runArrival is RunArrival with an optional live progress record; as with
-// campaigns, attaching one cannot change a byte of the report.
-func (s *Service) runArrival(ctx context.Context, spec arrival.Spec, prog *obs.Progress) (string, error) {
-	spec = s.normalizeArrival(spec)
-	eng := arrival.Engine{Source: s.registry, Workers: s.opts.Parallelism, Progress: prog}
-	res, err := eng.Run(ctx, spec)
-	if err != nil {
-		return "", err
-	}
-	var buf bytes.Buffer
-	res.Write(&buf)
-	return buf.String(), nil
+	return experiments.RenderStudy(ctx, req.Study, cfg, labFn, w)
 }

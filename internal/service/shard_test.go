@@ -34,7 +34,7 @@ func shardSpec() robust.Spec {
 }
 
 // durableService builds a store-backed service on dir with a tight lease.
-func durableService(t *testing.T, dir, replica string, noShard bool) *Service {
+func durableService(t *testing.T, dir, replica string) *Service {
 	t.Helper()
 	st := openServiceStore(t, dir)
 	opts := DefaultOptions()
@@ -42,7 +42,6 @@ func durableService(t *testing.T, dir, replica string, noShard bool) *Service {
 	opts.ReplicaID = replica
 	opts.LeaseTTL = 500 * time.Millisecond
 	opts.JobWorkers = 1
-	opts.NoShard = noShard
 	svc := New(opts)
 	t.Cleanup(func() { svc.Close(context.Background()) })
 	return svc
@@ -53,10 +52,9 @@ func waitServiceJob(t *testing.T, svc *Service, id string) JobStatus {
 	return waitJobState(t, svc.Jobs(), id, JobDone, JobFailed)
 }
 
-// TestShardedServiceByteIdentity is the tentpole pin at service level: the
-// same robustness spec run (a) in process with no store, (b) durably with
-// sharding disabled, and (c) durably sharded must render byte-identical
-// reports.
+// TestShardedServiceByteIdentity is the service-level pin: the same
+// robustness spec run in process with no store and durably sharded across
+// the store's cells must render byte-identical reports.
 func TestShardedServiceByteIdentity(t *testing.T) {
 	fastDurable(t)
 	spec := shardSpec()
@@ -68,29 +66,21 @@ func TestShardedServiceByteIdentity(t *testing.T) {
 		t.Fatalf("reference run: %v", err)
 	}
 
-	for _, tc := range []struct {
-		name    string
-		noShard bool
-	}{
-		{"monolithic-durable", true},
-		{"sharded-durable", false},
-	} {
-		svc := durableService(t, t.TempDir(), "solo", tc.noShard)
-		status, err := svc.SubmitRobustness(spec)
-		if err != nil {
-			t.Fatalf("%s: SubmitRobustness: %v", tc.name, err)
-		}
-		final := waitServiceJob(t, svc, status.ID)
-		if final.State != JobDone {
-			t.Fatalf("%s: job = %+v", tc.name, final)
-		}
-		if final.Output != want {
-			t.Errorf("%s output differs from in-process run:\n--- in-process ---\n%s\n--- durable ---\n%s",
-				tc.name, want, final.Output)
-		}
-		if !tc.noShard && (final.Progress == nil || final.Progress.CellsDone != 2 || final.Progress.CellsTotal != 2) {
-			t.Errorf("%s: final progress = %+v, want 2/2 cells", tc.name, final.Progress)
-		}
+	svc := durableService(t, t.TempDir(), "solo")
+	status, err := svc.SubmitRobustness(spec)
+	if err != nil {
+		t.Fatalf("SubmitRobustness: %v", err)
+	}
+	final := waitServiceJob(t, svc, status.ID)
+	if final.State != JobDone {
+		t.Fatalf("job = %+v", final)
+	}
+	if final.Output != want {
+		t.Errorf("sharded-durable output differs from in-process run:\n--- in-process ---\n%s\n--- durable ---\n%s",
+			want, final.Output)
+	}
+	if final.Progress == nil || final.Progress.CellsDone != 2 || final.Progress.CellsTotal != 2 {
+		t.Errorf("final progress = %+v, want 2/2 cells", final.Progress)
 	}
 }
 
@@ -109,9 +99,9 @@ func arrivalShardSpec() arrival.Spec {
 }
 
 // TestShardedArrivalByteIdentity extends the service-level byte-identity
-// pin to online arrivals: the same scenario run in process, durably
-// monolithic and durably sharded must render byte-identical reports, and
-// the sharded run reports one cell per algorithm.
+// pin to online arrivals: the same scenario run in process and durably
+// sharded must render byte-identical reports, and the sharded run reports
+// one cell per algorithm.
 func TestShardedArrivalByteIdentity(t *testing.T) {
 	fastDurable(t)
 	spec := arrivalShardSpec()
@@ -123,34 +113,26 @@ func TestShardedArrivalByteIdentity(t *testing.T) {
 		t.Fatalf("reference run: %v", err)
 	}
 
-	for _, tc := range []struct {
-		name    string
-		noShard bool
-	}{
-		{"monolithic-durable", true},
-		{"sharded-durable", false},
-	} {
-		svc := durableService(t, t.TempDir(), "solo", tc.noShard)
-		status, err := svc.SubmitArrival(spec)
-		if err != nil {
-			t.Fatalf("%s: SubmitArrival: %v", tc.name, err)
-		}
-		final := waitServiceJob(t, svc, status.ID)
-		if final.State != JobDone {
-			t.Fatalf("%s: job = %+v", tc.name, final)
-		}
-		if final.Output != want {
-			t.Errorf("%s output differs from in-process run:\n--- in-process ---\n%s\n--- durable ---\n%s",
-				tc.name, want, final.Output)
-		}
-		if !tc.noShard && (final.Progress == nil || final.Progress.CellsDone != 2 || final.Progress.CellsTotal != 2) {
-			t.Errorf("%s: final progress = %+v, want 2/2 cells", tc.name, final.Progress)
-		}
+	svc := durableService(t, t.TempDir(), "solo")
+	status, err := svc.SubmitArrival(spec)
+	if err != nil {
+		t.Fatalf("SubmitArrival: %v", err)
+	}
+	final := waitServiceJob(t, svc, status.ID)
+	if final.State != JobDone {
+		t.Fatalf("job = %+v", final)
+	}
+	if final.Output != want {
+		t.Errorf("sharded-durable output differs from in-process run:\n--- in-process ---\n%s\n--- durable ---\n%s",
+			want, final.Output)
+	}
+	if final.Progress == nil || final.Progress.CellsDone != 2 || final.Progress.CellsTotal != 2 {
+		t.Errorf("final progress = %+v, want 2/2 cells", final.Progress)
 	}
 }
 
-// countingCells wraps a fake CellRunner whose cells block until released,
-// recording which runner (replica) executed each cell.
+// countingCells is a fake job kind whose cells block until released,
+// recording which replica executed each cell.
 type countingCells struct {
 	mu    sync.Mutex
 	ran   map[string][]int // replica -> cell indices
@@ -158,35 +140,20 @@ type countingCells struct {
 	cells int
 }
 
-type taggedCells struct {
-	c       *countingCells
-	replica string
-}
-
-func (r taggedCells) Shardable(kind string) bool { return kind == "grid" }
-
-func (r taggedCells) CellCount(ctx context.Context, kind string, payload []byte) (int, error) {
-	return r.c.cells, nil
-}
-
-func (r taggedCells) RunCell(ctx context.Context, kind string, payload []byte, index int, prog *obs.Progress) ([]byte, error) {
-	select {
-	case <-r.c.gate:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	r.c.mu.Lock()
-	r.c.ran[r.replica] = append(r.c.ran[r.replica], index)
-	r.c.mu.Unlock()
-	return []byte(fmt.Sprintf("cell-%d", index)), nil
-}
-
-func (r taggedCells) MergeCells(ctx context.Context, kind string, payload []byte, results [][]byte) (string, error) {
-	out := ""
-	for _, frame := range results {
-		out += string(frame) + "\n"
-	}
-	return out, nil
+// kinds returns the fake kind as seen from one replica: cell i's frame is
+// "cell-<i>\n", so the merged output spells out the plan order.
+func (c *countingCells) kinds(replica string) *kindTable {
+	return fakeKinds(c.cells, func(ctx context.Context, _ string, index int, _ *obs.Progress) (string, error) {
+		select {
+		case <-c.gate:
+		case <-ctx.Done():
+			return "", ctx.Err()
+		}
+		c.mu.Lock()
+		c.ran[replica] = append(c.ran[replica], index)
+		c.mu.Unlock()
+		return fmt.Sprintf("cell-%d\n", index), nil
+	})
 }
 
 // TestShardedJobSpansReplicas proves cooperation: with every cell gated
@@ -199,15 +166,15 @@ func TestShardedJobSpansReplicas(t *testing.T) {
 	shared := &countingCells{ran: make(map[string][]int), gate: make(chan struct{}), cells: 6}
 
 	stA := openServiceStore(t, dir)
-	a := NewDurableJobManager(1, 8, stA, "alpha", time.Second, nil, taggedCells{shared, "alpha"})
+	a := newDurableJobManager(1, 8, stA, "alpha", time.Second, shared.kinds("alpha"))
 	defer a.Shutdown(context.Background())
 	stB := openServiceStore(t, dir)
-	b := NewDurableJobManager(1, 8, stB, "beta", time.Second, nil, taggedCells{shared, "beta"})
+	b := newDurableJobManager(1, 8, stB, "beta", time.Second, shared.kinds("beta"))
 	defer b.Shutdown(context.Background())
 
-	status, err := a.SubmitPayload("grid", nil)
+	status, err := submitNamed(a, "grid")
 	if err != nil {
-		t.Fatalf("SubmitPayload: %v", err)
+		t.Fatalf("Submit: %v", err)
 	}
 	// Wait until cells exist and both replicas hold one, then open the gate.
 	deadline := time.Now().Add(10 * time.Second)
@@ -262,7 +229,7 @@ func TestCoordinatorRestartMidGather(t *testing.T) {
 	dir := t.TempDir()
 	st := openServiceStore(t, dir)
 
-	rec, err := st.SubmitJob("grid", nil)
+	rec, err := st.SubmitJob("grid", namePayload("grid"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +242,7 @@ func TestCoordinatorRestartMidGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := st.CompleteCellAndClaim(rec.ID, i, "dead", []byte(fmt.Sprintf("cell-%d", i)), "", nil, false, "", 0); err != nil {
+		if _, _, err := st.CompleteCellAndClaim(rec.ID, i, "dead", []byte(fmt.Sprintf("cell-%d\n", i)), "", nil, false, "", 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,7 +250,7 @@ func TestCoordinatorRestartMidGather(t *testing.T) {
 
 	shared := &countingCells{ran: make(map[string][]int), gate: make(chan struct{}), cells: 3}
 	close(shared.gate)
-	m := NewDurableJobManager(1, 8, st, "heir", time.Second, nil, taggedCells{shared, "heir"})
+	m := newDurableJobManager(1, 8, st, "heir", time.Second, shared.kinds("heir"))
 	defer m.Shutdown(context.Background())
 
 	final := waitJobState(t, m, rec.ID, JobDone)
@@ -308,26 +275,26 @@ func TestShardedMergePermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Serial reference and the frames themselves, via the same CellRunner
-	// the durable manager uses.
+	// Serial reference and the frames themselves, via the same job-kind
+	// table the durable manager uses.
 	svc := New(DefaultOptions())
 	defer svc.Close(context.Background())
-	runner := shardRunner{svc}
 	kind := robustKindPrefix + ":" + spec.Spec.Name
-	n, err := runner.CellCount(context.Background(), kind, payload)
+	job, err := svc.kinds.prepare(kind, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := job.cells
 	if n < 2 {
 		t.Fatalf("spec has %d cells; the permutation needs at least 2", n)
 	}
 	frames := make([][]byte, n)
 	for i := range frames {
-		if frames[i], err = runner.RunCell(context.Background(), kind, payload, i, nil); err != nil {
+		if frames[i], err = job.RunCell(context.Background(), i, nil); err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
 	}
-	want, err := runner.MergeCells(context.Background(), kind, payload, frames)
+	want, err := job.merge(frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +327,7 @@ func TestShardedMergePermutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := runner.MergeCells(context.Background(), kind, payload, results)
+		got, err := job.merge(results)
 		if err != nil {
 			t.Fatal(err)
 		}
