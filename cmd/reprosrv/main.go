@@ -51,6 +51,27 @@ import (
 	"repro/internal/store"
 )
 
+// apiServer builds the API listener's server. Every phase of a connection
+// is bounded, so a slow or stalled client cannot hold one open forever; the
+// write budget outlasts the longest ?watch long-poll.
+func apiServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      service.MaxWatch + 30*time.Second,
+		IdleTimeout:       120 * time.Second,
+	}
+}
+
+// metricsServer builds the private metrics listener's server. Only the
+// header read is bounded: /debug/pprof/profile and /debug/pprof/trace
+// stream for as long as the operator asks (30 s by default).
+func metricsServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second}
+}
+
 // flagSet reports whether a flag was explicitly set on the command line.
 func flagSet(name string) bool {
 	set := false
@@ -120,7 +141,7 @@ func main() {
 		log.Printf("replica %s on store %s (lease ttl %s)", svc.Jobs().Replica(), *storeDir, *leaseTTL)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	srv := apiServer(*addr, svc.Handler())
 
 	if *metricsAddr != "" {
 		// The private listener always exposes pprof: it is the operator's
@@ -132,7 +153,7 @@ func main() {
 		mmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		msrv := &http.Server{Addr: *metricsAddr, Handler: mmux}
+		msrv := metricsServer(*metricsAddr, mmux)
 		go func() {
 			log.Printf("metrics listening on %s", *metricsAddr)
 			if err := msrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

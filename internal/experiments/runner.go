@@ -3,8 +3,10 @@ package experiments
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -48,7 +50,8 @@ func CellSeed(noiseSeed int64, study string, cell int) int64 {
 // ForEachCell runs fn(0) … fn(n-1) on at most workers goroutines
 // (DefaultParallelism if workers <= 0) and returns the error of the
 // lowest-index failing cell, so error reporting is as deterministic as the
-// results. fn must confine its writes to per-index state.
+// results. A cell whose fn panics fails with a *CellPanic. fn must confine
+// its writes to per-index state.
 func ForEachCell(workers, n int, fn func(cell int) error) error {
 	return ForEachCellCtx(context.Background(), workers, n, fn)
 }
@@ -75,7 +78,7 @@ func ForEachCellCtx(ctx context.Context, workers, n int, fn func(cell int) error
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(i); err != nil {
+			if err := runCell(fn, i); err != nil {
 				return err
 			}
 		}
@@ -102,7 +105,7 @@ func ForEachCellCtx(ctx context.Context, workers, n int, fn func(cell int) error
 				if i >= n {
 					return
 				}
-				if err := fn(i); err != nil {
+				if err := runCell(fn, i); err != nil {
 					errs[i] = err
 					failed.Store(true)
 				} else {
@@ -121,6 +124,34 @@ func ForEachCellCtx(ctx context.Context, workers, n int, fn func(cell int) error
 		return nil // every cell ran: a last-moment cancellation is moot
 	}
 	return ctx.Err()
+}
+
+// CellPanic is the error of a cell whose function panicked: the pool
+// recovers the panic on whichever goroutine ran the cell, so one bad cell
+// fails its run instead of killing the process.
+type CellPanic struct {
+	// Cell is the index of the panicking cell.
+	Cell int
+	// Value is the value passed to panic.
+	Value any
+	// Stack is the panicking goroutine's stack at recovery.
+	Stack []byte
+}
+
+// Error names the cell and the panic value. The stack is left out, so the
+// text is the same whichever worker ran the cell.
+func (p *CellPanic) Error() string {
+	return fmt.Sprintf("experiments: cell %d panicked: %v", p.Cell, p.Value)
+}
+
+// runCell calls fn(i), turning a panic into a *CellPanic.
+func runCell(fn func(cell int) error, i int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &CellPanic{Cell: i, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn(i)
 }
 
 // Runner executes the cells of named studies against one emulated

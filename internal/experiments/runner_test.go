@@ -67,6 +67,50 @@ func TestForEachCellReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
+// TestForEachCellRecoversPanics pins that a panicking cell fails the run
+// with that cell's error instead of killing the process, on the worker
+// goroutines and on the single-worker path alike, with the same text.
+func TestForEachCellRecoversPanics(t *testing.T) {
+	var texts []string
+	for _, workers := range []int{2, 1} {
+		err := ForEachCellCtx(context.Background(), workers, 4, func(i int) error {
+			if i == 1 {
+				panic("cell boom")
+			}
+			return nil
+		})
+		var cp *CellPanic
+		if !errors.As(err, &cp) {
+			t.Fatalf("workers=%d: err = %v, want a *CellPanic", workers, err)
+		}
+		if cp.Cell != 1 || cp.Value != "cell boom" {
+			t.Errorf("workers=%d: panic of cell %d with %v, want cell 1 with \"cell boom\"", workers, cp.Cell, cp.Value)
+		}
+		if !bytes.Contains(cp.Stack, []byte("TestForEachCellRecoversPanics")) {
+			t.Errorf("workers=%d: stack does not reach the panicking cell:\n%s", workers, cp.Stack)
+		}
+		texts = append(texts, err.Error())
+	}
+	if texts[0] != texts[1] {
+		t.Errorf("error text depends on the worker count: %q vs %q", texts[0], texts[1])
+	}
+	// A lower-index plain error still wins over a panic.
+	for _, workers := range []int{1, 2} {
+		err := ForEachCell(workers, 4, func(i int) error {
+			switch i {
+			case 0:
+				return errors.New("cell 0 failed")
+			case 1:
+				panic("cell boom")
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "cell 0 failed" {
+			t.Errorf("workers=%d: err = %v, want cell 0's", workers, err)
+		}
+	}
+}
+
 func TestCellSeedDeterministicAndDecorrelated(t *testing.T) {
 	if CellSeed(42, "suite/analytic", 3) != CellSeed(42, "suite/analytic", 3) {
 		t.Error("same triple yields different seeds")

@@ -243,14 +243,16 @@ func (s *Service) handleList(w http.ResponseWriter, k *jobKind) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// MaxWatch caps a ?watch long-poll, so a stuck client cannot pin a
+// connection. A server's WriteTimeout must exceed it, or the longest watch
+// is cut off before it can answer.
+const MaxWatch = 60 * time.Second
+
 // watchParam parses the optional ?watch long-poll parameter: absent means a
 // plain poll; a bare "watch" selects the default window; otherwise the value
-// is a Go duration, capped so a stuck client cannot pin a connection.
+// is a Go duration, capped at MaxWatch.
 func watchParam(r *http.Request) (time.Duration, bool, error) {
-	const (
-		defaultWatch = 30 * time.Second
-		maxWatch     = 60 * time.Second
-	)
+	const defaultWatch = 30 * time.Second
 	if !r.URL.Query().Has("watch") {
 		return 0, false, nil
 	}
@@ -265,8 +267,8 @@ func watchParam(r *http.Request) (time.Duration, bool, error) {
 	if d <= 0 {
 		return 0, false, fmt.Errorf("service: watch duration %q must be positive", raw)
 	}
-	if d > maxWatch {
-		d = maxWatch
+	if d > MaxWatch {
+		d = MaxWatch
 	}
 	return d, true, nil
 }

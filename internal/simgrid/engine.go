@@ -28,6 +28,14 @@ const (
 
 // Action is one activity in the simulation: an optional fixed delay followed
 // by an optional resource-consuming work phase.
+//
+// The work phase's resource consumption per unit rate is set through
+// AddUsage and SetUsage, or wholesale by Net.FillPtask and FillTransfers.
+// With Work = 1 and amounts equal to total flops/bytes, an action running
+// alone takes max_r(amount_r / capacity_r) seconds, the L07 semantics. The
+// amounts live in the solver's sorted sparse form, so the engine reads them
+// as they stand: never change the usage of an action that is live in an
+// engine.
 type Action struct {
 	// Name labels the action in traces.
 	Name string
@@ -38,12 +46,6 @@ type Action struct {
 	// convention for parallel tasks (the usage amounts then equal the full
 	// flop/byte quantities). Zero means the action is a pure delay.
 	Work float64
-	// Usage lists resource consumption per unit rate. With Work = 1 and
-	// Usage amounts equal to total flops/bytes, an action running alone
-	// takes max_r(amount_r / capacity_r) seconds, the L07 semantics.
-	// The map is captured (converted to the solver's sparse form) when the
-	// action is added; mutations after Add have no effect on the run.
-	Usage map[int]float64
 	// Bound optionally caps the rate (<= 0: unbounded); captured at Add.
 	Bound float64
 	// OnComplete, if non-nil, runs when the action finishes. It may add
@@ -77,12 +79,28 @@ func (a *Action) FinishedAt() float64 { return a.finishedAt }
 // Rate returns the most recently computed progress rate.
 func (a *Action) Rate() float64 { return a.rate }
 
+// AddUsage accumulates u units per unit rate onto the action's usage of
+// resource r. Repeated calls for one resource sum in call order, and an
+// amount that sums to zero drops the resource from the action's usage.
+func (a *Action) AddUsage(r int, u float64) { a.v.add(r, u) }
+
+// SetUsage replaces the action's usage of resource r with u; u == 0 drops
+// the resource from the action's usage.
+func (a *Action) SetUsage(r int, u float64) { a.v.set(r, u) }
+
+// ClearUsage empties the action's usage, keeping its storage.
+func (a *Action) ClearUsage() { a.v.clearUsage() }
+
+// UsedResources returns the resources the action uses, ascending. The slice
+// is the action's own storage: read it, do not modify it, and do not keep
+// it past the next usage change.
+func (a *Action) UsedResources() []int { return a.v.res }
+
 // Reset re-arms an action so it can be added again — the companion of
 // Engine.Reset for replaying one scenario through a recycled engine. The
-// descriptive fields (Name, Delay, Work, Usage, Bound, OnComplete) are
-// preserved, and the sparse usage form keeps its backing storage, so a
-// reset-and-re-add cycle allocates nothing. Never reset an action that is
-// still live in an engine.
+// descriptive fields (Name, Delay, Work, Bound, OnComplete) and the usage
+// are preserved, so a reset-and-re-add cycle allocates nothing. Never reset
+// an action that is still live in an engine.
 func (a *Action) Reset() {
 	a.added = false
 	a.state = StatePending
@@ -176,15 +194,14 @@ func (e *Engine) Add(a *Action) {
 	if a.Work < 0 || a.Delay < 0 {
 		panic(fmt.Sprintf("simgrid: action %q has negative work or delay", a.Name))
 	}
-	for r, u := range a.Usage {
+	for k, r := range a.v.res {
 		if r < 0 || r >= len(e.capacity) {
 			panic(fmt.Sprintf("simgrid: action %q uses unknown resource %d", a.Name, r))
 		}
-		if u < 0 {
+		if a.v.use[k] < 0 {
 			panic(fmt.Sprintf("simgrid: action %q has negative usage on resource %d", a.Name, r))
 		}
 	}
-	a.v.setUsage(a.Usage)
 	a.v.bound = a.Bound
 	a.startedAt = e.now
 	a.remaining = a.Work
@@ -335,9 +352,7 @@ func (e *Engine) solveRates() {
 }
 
 // UsageOf reports the instantaneous usage of resource r by running actions,
-// for tests and observability. It reads the sparse usage forms captured at
-// Add — the quantities the simulation actually charges — so it agrees with
-// the run even if a caller mutated an action's Usage map afterwards.
+// for tests and observability.
 func (e *Engine) UsageOf(r int) float64 {
 	e.solveRates()
 	total := 0.0

@@ -2,7 +2,6 @@ package simgrid
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/platform"
@@ -13,6 +12,15 @@ func almost(t *testing.T, got, want, tol float64, what string) {
 	if math.Abs(got-want) > tol {
 		t.Errorf("%s = %g, want %g (±%g)", what, got, want, tol)
 	}
+}
+
+// withUsage gives a hand-built action the usage in the map through the
+// exported accumulate primitive, the path Net's fills take.
+func withUsage(a *Action, usage map[int]float64) *Action {
+	for r, u := range usage {
+		a.AddUsage(r, u)
+	}
+	return a
 }
 
 func TestEngineFixedAction(t *testing.T) {
@@ -31,7 +39,7 @@ func TestEngineFixedAction(t *testing.T) {
 func TestEngineSingleComputeAction(t *testing.T) {
 	// 100 flops of work on a 10 flop/s CPU → 10 s.
 	e := NewEngine([]float64{10})
-	e.Add(&Action{Name: "comp", Work: 1, Usage: map[int]float64{0: 100}})
+	e.Add(withUsage(&Action{Name: "comp", Work: 1}, map[int]float64{0: 100}))
 	end, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -42,10 +50,10 @@ func TestEngineSingleComputeAction(t *testing.T) {
 func TestEngineFairSharingDoublesTime(t *testing.T) {
 	e := NewEngine([]float64{10})
 	var t1, t2 float64
-	a := &Action{Name: "a", Work: 1, Usage: map[int]float64{0: 100},
-		OnComplete: func(e *Engine, _ *Action) { t1 = e.Now() }}
-	b := &Action{Name: "b", Work: 1, Usage: map[int]float64{0: 100},
-		OnComplete: func(e *Engine, _ *Action) { t2 = e.Now() }}
+	a := withUsage(&Action{Name: "a", Work: 1,
+		OnComplete: func(e *Engine, _ *Action) { t1 = e.Now() }}, map[int]float64{0: 100})
+	b := withUsage(&Action{Name: "b", Work: 1,
+		OnComplete: func(e *Engine, _ *Action) { t2 = e.Now() }}, map[int]float64{0: 100})
 	e.Add(a)
 	e.Add(b)
 	if _, err := e.Run(); err != nil {
@@ -62,10 +70,10 @@ func TestEngineL07EqualProgressSharing(t *testing.T) {
 	// 100ρ + 10ρ ≤ 10 → ρ = 1/11, so both complete at t = 11.
 	e := NewEngine([]float64{10})
 	var ta, tb float64
-	e.Add(&Action{Name: "a", Work: 1, Usage: map[int]float64{0: 100},
-		OnComplete: func(e *Engine, _ *Action) { ta = e.Now() }})
-	e.Add(&Action{Name: "b", Work: 1, Usage: map[int]float64{0: 10},
-		OnComplete: func(e *Engine, _ *Action) { tb = e.Now() }})
+	e.Add(withUsage(&Action{Name: "a", Work: 1,
+		OnComplete: func(e *Engine, _ *Action) { ta = e.Now() }}, map[int]float64{0: 100}))
+	e.Add(withUsage(&Action{Name: "b", Work: 1,
+		OnComplete: func(e *Engine, _ *Action) { tb = e.Now() }}, map[int]float64{0: 10}))
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +83,7 @@ func TestEngineL07EqualProgressSharing(t *testing.T) {
 
 func TestEngineDelayThenWork(t *testing.T) {
 	e := NewEngine([]float64{10})
-	e.Add(&Action{Name: "x", Delay: 1, Work: 1, Usage: map[int]float64{0: 10}})
+	e.Add(withUsage(&Action{Name: "x", Delay: 1, Work: 1}, map[int]float64{0: 10}))
 	end, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -87,12 +95,12 @@ func TestEngineCallbackChaining(t *testing.T) {
 	// A dependency chain built via callbacks: t0 → t1 → t2, 1 s each.
 	e := NewEngine([]float64{1})
 	mk := func(name string, next *Action) *Action {
-		return &Action{Name: name, Work: 1, Usage: map[int]float64{0: 1},
+		return withUsage(&Action{Name: name, Work: 1,
 			OnComplete: func(e *Engine, _ *Action) {
 				if next != nil {
 					e.Add(next)
 				}
-			}}
+			}}, map[int]float64{0: 1})
 	}
 	t2 := mk("t2", nil)
 	t1 := mk("t1", t2)
@@ -127,7 +135,7 @@ func TestEngineUnconstrainedWorkCompletes(t *testing.T) {
 	// whose transfers are all intra-host) must complete right after its
 	// delay instead of producing NaN progress.
 	e := NewEngine([]float64{1})
-	e.Add(&Action{Name: "local-redist", Delay: 0.25, Work: 1, Usage: map[int]float64{}})
+	e.Add(&Action{Name: "local-redist", Delay: 0.25, Work: 1})
 	end, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -137,8 +145,8 @@ func TestEngineUnconstrainedWorkCompletes(t *testing.T) {
 
 func TestEngineUsageOf(t *testing.T) {
 	e := NewEngine([]float64{10})
-	e.Add(&Action{Name: "a", Work: 1, Usage: map[int]float64{0: 100}})
-	e.Add(&Action{Name: "b", Work: 1, Usage: map[int]float64{0: 50}})
+	e.Add(withUsage(&Action{Name: "a", Work: 1}, map[int]float64{0: 100}))
+	e.Add(withUsage(&Action{Name: "b", Work: 1}, map[int]float64{0: 50}))
 	// Equal rates ρ = 10/150; usage = 100ρ + 50ρ = 10 (saturated).
 	almost(t, e.UsageOf(0), 10, 1e-9, "saturated usage")
 	if _, err := e.Run(); err != nil {
@@ -149,7 +157,7 @@ func TestEngineUsageOf(t *testing.T) {
 
 func TestEngineDeadlockDetected(t *testing.T) {
 	e := NewEngine([]float64{0})
-	e.Add(&Action{Name: "starved", Work: 1, Usage: map[int]float64{0: 1}})
+	e.Add(withUsage(&Action{Name: "starved", Work: 1}, map[int]float64{0: 1}))
 	if _, err := e.Run(); err == nil {
 		t.Fatal("starved action did not produce an error")
 	}
@@ -161,7 +169,13 @@ func TestEngineAddPanics(t *testing.T) {
 	e.Add(a)
 	assertPanics(t, "double add", func() { e.Add(a) })
 	assertPanics(t, "bad resource", func() {
-		e.Add(&Action{Name: "bad", Work: 1, Usage: map[int]float64{7: 1}})
+		e.Add(withUsage(&Action{Name: "bad", Work: 1}, map[int]float64{7: 1}))
+	})
+	assertPanics(t, "negative resource", func() {
+		e.Add(withUsage(&Action{Name: "bad", Work: 1}, map[int]float64{-1: 1}))
+	})
+	assertPanics(t, "negative usage", func() {
+		e.Add(withUsage(&Action{Name: "bad", Work: 1}, map[int]float64{0: -1}))
 	})
 	assertPanics(t, "negative delay", func() { e.Add(&Action{Name: "neg", Delay: -1}) })
 	assertPanics(t, "negative duration", func() { Fixed("neg", -1) })
@@ -213,52 +227,6 @@ func TestNetBackplane(t *testing.T) {
 	}
 	if !n.HasBackplane() || caps[n.Backplane()] != 4e9 {
 		t.Error("backplane not modelled")
-	}
-}
-
-// TestFillTransfersMatchesFillPtask checks the sparse form against the dense
-// one on random communication matrices, with and without a backplane and
-// with shared hosts between the two rank sets: equal usage maps (bitwise),
-// latency and work when the transfers are listed row-major.
-func TestFillTransfersMatchesFillPtask(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, backplane := range []float64{0, 4e9} {
-		c := platform.Bayreuth()
-		c.BackplaneBandwidth = backplane
-		n, err := NewNet(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 50; trial++ {
-			k := 1 + rng.Intn(12)
-			hosts := make([]int, k)
-			for i := range hosts {
-				hosts[i] = rng.Intn(8) // repeats make intra-host pairs
-			}
-			bytes := make([][]float64, k)
-			var transfers []Transfer
-			for i := range bytes {
-				bytes[i] = make([]float64, k)
-				for j := range bytes[i] {
-					if rng.Intn(3) == 0 {
-						bytes[i][j] = float64(rng.Intn(5)) * 1e6 / 3
-						transfers = append(transfers, Transfer{Src: hosts[i], Dst: hosts[j], Bytes: bytes[i][j]})
-					}
-				}
-			}
-			var dense, sparse Action
-			n.FillPtask(&dense, hosts, nil, bytes)
-			n.FillTransfers(&sparse, transfers)
-			if dense.Delay != sparse.Delay || dense.Work != sparse.Work || len(dense.Usage) != len(sparse.Usage) {
-				t.Fatalf("trial %d: delay/work/usage size %g/%g/%d != %g/%g/%d", trial,
-					sparse.Delay, sparse.Work, len(sparse.Usage), dense.Delay, dense.Work, len(dense.Usage))
-			}
-			for r, u := range dense.Usage {
-				if sparse.Usage[r] != u {
-					t.Fatalf("trial %d: resource %d usage %g != %g", trial, r, sparse.Usage[r], u)
-				}
-			}
-		}
 	}
 }
 
@@ -354,8 +322,8 @@ func TestLoneActionTimeMatchesEngine(t *testing.T) {
 func TestIntraHostTransferFree(t *testing.T) {
 	n := testNet(t)
 	a := n.Ptask("self", []int{0, 0}, nil, [][]float64{{0, 1e9}, {0, 0}})
-	if len(a.Usage) != 0 {
-		t.Errorf("intra-host transfer consumed resources: %v", a.Usage)
+	if used := a.UsedResources(); len(used) != 0 {
+		t.Errorf("intra-host transfer consumed resources %v", used)
 	}
 }
 
@@ -367,7 +335,7 @@ func TestIntraHostTransferFree(t *testing.T) {
 func TestResetUnpinsActions(t *testing.T) {
 	e := NewEngine([]float64{10, 10})
 	for i := 0; i < 8; i++ {
-		e.Add(&Action{Name: "a", Work: 1, Usage: map[int]float64{i % 2: 1}})
+		e.Add(withUsage(&Action{Name: "a", Work: 1}, map[int]float64{i % 2: 1}))
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -402,7 +370,7 @@ func TestResetUnpinsActions(t *testing.T) {
 // constraints on its next run.
 func TestResetRestoresSolverInvariant(t *testing.T) {
 	e := NewEngine([]float64{10, 10})
-	e.Add(&Action{Name: "a", Work: 1, Usage: map[int]float64{0: 2, 1: 1}})
+	e.Add(withUsage(&Action{Name: "a", Work: 1}, map[int]float64{0: 2, 1: 1}))
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +384,7 @@ func TestResetRestoresSolverInvariant(t *testing.T) {
 		}
 	}
 	// The engine still solves correctly afterwards.
-	a := &Action{Name: "b", Work: 1, Usage: map[int]float64{1: 2}}
+	a := withUsage(&Action{Name: "b", Work: 1}, map[int]float64{1: 2})
 	e.Add(a)
 	end, err := e.Run()
 	if err != nil {
@@ -424,4 +392,30 @@ func TestResetRestoresSolverInvariant(t *testing.T) {
 	}
 	almost(t, end, 0.2, 1e-12, "post-reset solve")
 	_ = a
+}
+
+// TestEngineAddAllocFree pins that Add only validates and links an action:
+// the usage already sits in the solver's sparse form, so a warm engine
+// re-adding recycled parallel tasks allocates nothing.
+func TestEngineAddAllocFree(t *testing.T) {
+	n := testNet(t)
+	comp := []float64{1e9, 2e9, 3e9}
+	bytes := [][]float64{{0, 32e6, 0}, {0, 0, 32e6}, {32e6, 0, 0}}
+	acts := []*Action{
+		n.Ptask("a", []int{0, 1, 2}, comp, bytes),
+		n.Ptask("b", []int{3, 4, 5}, comp, nil),
+		n.Ptask("c", []int{2, 6, 7}, nil, bytes),
+	}
+	e := n.NewEngine()
+	add := func() {
+		e.Reset(nil)
+		for _, a := range acts {
+			a.Reset()
+			e.Add(a)
+		}
+	}
+	add() // warm-up grows the live list
+	if allocs := testing.AllocsPerRun(100, add); allocs != 0 {
+		t.Errorf("Reset + Add of %d warm actions allocates %.1f objects, want 0", len(acts), allocs)
+	}
 }

@@ -148,7 +148,7 @@ func (n *Net) Ptask(name string, hosts []int, comp []float64, bytes [][]float64)
 }
 
 // FillPtask populates an existing action with the L07 parallel task described
-// by comp and bytes (see Ptask), reusing the action's Usage map so replay
+// by comp and bytes (see Ptask), replacing its usage in place so replay
 // paths can re-arm recycled actions without allocating. Delay is set to the
 // maximum route latency and Work to 1; Name, Tag, Bound and OnComplete are
 // left untouched.
@@ -160,11 +160,11 @@ func (n *Net) FillPtask(a *Action, hosts []int, comp []float64, bytes [][]float6
 	if bytes != nil && len(bytes) != len(hosts) {
 		panic(fmt.Sprintf("simgrid: ptask %q: bytes rows %d != hosts %d", name, len(bytes), len(hosts)))
 	}
-	usage := resetUsage(a)
+	a.ClearUsage()
 	latency := 0.0
 	for i, h := range hosts {
 		if comp != nil && comp[i] > 0 {
-			usage[n.CPU(h)] += comp[i]
+			a.AddUsage(n.CPU(h), comp[i])
 		}
 		if bytes == nil {
 			continue
@@ -181,7 +181,7 @@ func (n *Net) FillPtask(a *Action, hosts []int, comp []float64, bytes [][]float6
 			if h == dst {
 				continue
 			}
-			if l := n.addTransfer(usage, h, dst, b); l > latency {
+			if l := n.addTransfer(a, h, dst, b); l > latency {
 				latency = l
 			}
 		}
@@ -204,13 +204,13 @@ type Transfer struct {
 // accumulated in list order, so a list in the matrix's row-major order
 // reproduces FillPtask's floating-point sums bit for bit.
 func (n *Net) FillTransfers(a *Action, transfers []Transfer) {
-	usage := resetUsage(a)
+	a.ClearUsage()
 	latency := 0.0
 	for _, t := range transfers {
 		if t.Bytes <= 0 || t.Src == t.Dst {
 			continue
 		}
-		if l := n.addTransfer(usage, t.Src, t.Dst, t.Bytes); l > latency {
+		if l := n.addTransfer(a, t.Src, t.Dst, t.Bytes); l > latency {
 			latency = l
 		}
 	}
@@ -219,26 +219,15 @@ func (n *Net) FillTransfers(a *Action, transfers []Transfer) {
 }
 
 // addTransfer charges a transfer of b bytes between two distinct hosts to
-// the source uplink, the destination downlink and the backplane, and
-// returns the route latency.
-func (n *Net) addTransfer(usage map[int]float64, src, dst int, b float64) float64 {
-	usage[n.Uplink(src)] += b
-	usage[n.Downlink(dst)] += b
+// the source uplink, the destination downlink and the backplane of a's
+// usage, and returns the route latency.
+func (n *Net) addTransfer(a *Action, src, dst int, b float64) float64 {
+	a.AddUsage(n.Uplink(src), b)
+	a.AddUsage(n.Downlink(dst), b)
 	if n.HasBackplane() {
-		usage[n.Backplane()] += b
+		a.AddUsage(n.Backplane(), b)
 	}
 	return n.RouteLatency(src, dst)
-}
-
-// resetUsage empties an action's usage map for refilling, keeping its
-// storage.
-func resetUsage(a *Action) map[int]float64 {
-	if a.Usage == nil {
-		a.Usage = make(map[int]float64)
-	} else {
-		clear(a.Usage)
-	}
-	return a.Usage
 }
 
 // Fixed builds an action that simply lasts the given duration without
@@ -257,8 +246,8 @@ func Fixed(name string, duration float64) *Action {
 func (n *Net) LoneActionTime(a *Action) float64 {
 	caps := n.caps
 	t := 0.0
-	for r, u := range a.Usage {
-		if d := u / caps[r] * a.Work; d > t {
+	for k, r := range a.v.res {
+		if d := a.v.use[k] / caps[r] * a.Work; d > t {
 			t = d
 		}
 	}

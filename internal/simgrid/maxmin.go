@@ -9,9 +9,10 @@ import (
 // max-min fairness problem. Resource consumption is held in sparse
 // index/value form: res lists the resource indices the variable consumes
 // (ascending, no duplicates) and use holds the amount consumed per unit of
-// rate, parallel to res. Entries are strictly positive — zero-usage entries
-// are dropped when the sparse form is built (setUsage), so "uses resource r"
-// and "appears in res" coincide.
+// rate, parallel to res. Entries are nonzero — add and set drop an entry
+// whose amount reaches zero — so "uses resource r" and "appears in res"
+// coincide. The form is filled in place (Net.FillPtask, Action.AddUsage)
+// and is the only record of an action's usage.
 type maxminVar struct {
 	res []int
 	use []float64
@@ -23,40 +24,76 @@ type maxminVar struct {
 	fixed bool
 }
 
-// setUsage rebuilds the sparse form from a dense usage map, reusing the
-// backing arrays so steady-state reloads allocate nothing. Entries are kept
-// sorted by resource index, which decouples the solver's memory-access and
-// arithmetic order from Go's randomized map iteration. Zero entries are
-// dropped; validation of indices and signs is the caller's job.
-func (v *maxminVar) setUsage(usage map[int]float64) {
-	v.res, v.use = v.res[:0], v.use[:0]
-	for r, u := range usage {
-		if u == 0 {
-			continue
+// clearUsage empties the sparse form, keeping its backing arrays so
+// steady-state refills allocate nothing.
+func (v *maxminVar) clearUsage() { v.res, v.use = v.res[:0], v.use[:0] }
+
+// find returns the position of resource r in the sparse form and whether
+// an entry for r exists there; when it does not, the position is where r
+// would be inserted to keep res ascending.
+func (v *maxminVar) find(r int) (int, bool) {
+	lo, hi := 0, len(v.res)
+	if hi == 0 || v.res[hi-1] < r {
+		return hi, false // an in-order fill appends
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if v.res[m] < r {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		// Insertion sort: usage vectors are small (a handful of resources
-		// per host touched), so this beats sort.Sort and allocates nothing.
-		i := len(v.res)
-		v.res = append(v.res, r)
-		v.use = append(v.use, u)
-		for i > 0 && v.res[i-1] > r {
-			v.res[i], v.res[i-1] = v.res[i-1], v.res[i]
-			v.use[i], v.use[i-1] = v.use[i-1], v.use[i]
-			i--
+	}
+	return lo, lo < len(v.res) && v.res[lo] == r
+}
+
+// add accumulates u onto resource r's entry: += on an existing entry, a
+// sorted insert otherwise. A resource's amount is thus summed in call
+// order, exactly as a map's += would sum it.
+func (v *maxminVar) add(r int, u float64) {
+	k, ok := v.find(r)
+	switch {
+	case ok:
+		v.use[k] += u
+		if v.use[k] == 0 {
+			v.remove(k)
 		}
+	case u != 0:
+		v.insert(k, r, u)
 	}
 }
 
-// usageOf returns the variable's usage of resource r, 0 when unused. The
-// sparse form is sorted and tiny, so a linear scan suffices.
+// set replaces resource r's amount with u, dropping the entry when u is 0.
+func (v *maxminVar) set(r int, u float64) {
+	k, ok := v.find(r)
+	switch {
+	case ok && u == 0:
+		v.remove(k)
+	case ok:
+		v.use[k] = u
+	case u != 0:
+		v.insert(k, r, u)
+	}
+}
+
+func (v *maxminVar) insert(k, r int, u float64) {
+	v.res = append(v.res, 0)
+	copy(v.res[k+1:], v.res[k:])
+	v.res[k] = r
+	v.use = append(v.use, 0)
+	copy(v.use[k+1:], v.use[k:])
+	v.use[k] = u
+}
+
+func (v *maxminVar) remove(k int) {
+	v.res = append(v.res[:k], v.res[k+1:]...)
+	v.use = append(v.use[:k], v.use[k+1:]...)
+}
+
+// usageOf returns the variable's usage of resource r, 0 when unused.
 func (v *maxminVar) usageOf(r int) float64 {
-	for k, rr := range v.res {
-		if rr == r {
-			return v.use[k]
-		}
-		if rr > r {
-			break
-		}
+	if k, ok := v.find(r); ok {
+		return v.use[k]
 	}
 	return 0
 }

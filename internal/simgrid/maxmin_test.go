@@ -7,11 +7,13 @@ import (
 	"testing/quick"
 )
 
-// mmVar builds a sparse solver variable from a dense usage map, the way
-// Engine.Add does for actions.
+// mmVar builds a sparse solver variable from a dense usage map through the
+// accumulate primitive, the path Net's fills take.
 func mmVar(usage map[int]float64, bound float64) *maxminVar {
 	v := &maxminVar{bound: bound}
-	v.setUsage(usage)
+	for r, u := range usage {
+		v.add(r, u)
+	}
 	return v
 }
 
@@ -116,26 +118,42 @@ func TestMaxMinZeroCapacity(t *testing.T) {
 	}
 }
 
-func TestSetUsageSortsAndDropsZeros(t *testing.T) {
+func TestSparseUsageSortsAndDropsZeros(t *testing.T) {
 	v := mmVar(map[int]float64{7: 1, 0: 2, 3: 0, 5: 4}, 0)
-	wantRes := []int{0, 5, 7}
-	wantUse := []float64{2, 4, 1}
-	if len(v.res) != len(wantRes) {
-		t.Fatalf("res = %v, want %v", v.res, wantRes)
-	}
-	for i := range wantRes {
-		if v.res[i] != wantRes[i] || v.use[i] != wantUse[i] {
-			t.Fatalf("sparse form = %v/%v, want %v/%v", v.res, v.use, wantRes, wantUse)
-		}
-	}
-	// Reloading reuses the backing arrays and resorts.
+	wantSparse(t, v, []int{0, 5, 7}, []float64{2, 4, 1})
+
+	// Accumulation sums onto the existing entry; a sum of zero drops it.
+	v.add(5, 0.5)
+	v.add(0, -2)
+	wantSparse(t, v, []int{5, 7}, []float64{4.5, 1})
+
+	// set replaces in place, drops on 0, and re-inserts in order.
+	v.set(7, 0)
+	v.set(5, 3)
+	v.set(1, 6)
+	v.set(9, 0)
+	wantSparse(t, v, []int{1, 5}, []float64{6, 3})
+
+	// Refilling after a clear reuses the backing arrays and resorts.
 	before := &v.res[0]
-	v.setUsage(map[int]float64{2: 1, 1: 3})
+	v.clearUsage()
+	v.add(2, 1)
+	v.add(1, 3)
 	if &v.res[0] != before {
-		t.Error("setUsage reallocated its backing array on reload")
+		t.Error("refill reallocated the sparse form's backing array")
 	}
-	if v.res[0] != 1 || v.res[1] != 2 || v.use[0] != 3 || v.use[1] != 1 {
-		t.Errorf("reloaded sparse form = %v/%v, want [1 2]/[3 1]", v.res, v.use)
+	wantSparse(t, v, []int{1, 2}, []float64{3, 1})
+}
+
+func wantSparse(t *testing.T, v *maxminVar, res []int, use []float64) {
+	t.Helper()
+	if len(v.res) != len(res) || len(v.use) != len(use) {
+		t.Fatalf("sparse form = %v/%v, want %v/%v", v.res, v.use, res, use)
+	}
+	for i := range res {
+		if v.res[i] != res[i] || v.use[i] != use[i] {
+			t.Fatalf("sparse form = %v/%v, want %v/%v", v.res, v.use, res, use)
+		}
 	}
 }
 

@@ -334,7 +334,7 @@ func TestEngineMatchesOracleQuick(t *testing.T) {
 			if usage != nil && r.Float64() < 0.25 {
 				bound = 0.05 + 2*r.Float64()
 			}
-			actions[i] = &Action{Name: "a", Delay: delay, Work: work, Usage: usage, Bound: bound}
+			actions[i] = withUsage(&Action{Name: "a", Delay: delay, Work: work, Bound: bound}, usage)
 			oracle[i] = &oracleAction{delay: delay, work: work, usage: usage, bound: bound}
 		}
 

@@ -311,7 +311,7 @@ func (r *Replayer) bind(net *simgrid.Net, s *sched.Schedule, base Timing) error 
 		rec.act.OnComplete = r.onTask
 		rec.act.Work = 0
 		rec.act.Delay = 0
-		clear(rec.act.Usage)
+		rec.act.ClearUsage()
 		rec.isPtask = false
 		rec.cross = false
 		rec.cpuRes = rec.cpuRes[:0]
@@ -325,12 +325,10 @@ func (r *Replayer) bind(net *simgrid.Net, s *sched.Schedule, base Timing) error 
 		}
 		rec.isPtask = true
 		net.FillPtask(&rec.act, rec.hosts, d.comp, d.bytes)
-		for res := range rec.act.Usage {
-			if res >= clusterSize {
-				rec.cross = true
-				break
-			}
-		}
+		// Resources at or past clusterSize are links: the usage is
+		// ascending, so the last entry says whether any is charged.
+		used := rec.act.UsedResources()
+		rec.cross = len(used) > 0 && used[len(used)-1] >= clusterSize
 		for i, h := range rec.hosts {
 			if d.comp != nil && d.comp[i] > 0 {
 				rec.cpuRes = append(rec.cpuRes, net.CPU(h))
@@ -367,7 +365,7 @@ func (r *Replayer) bind(net *simgrid.Net, s *sched.Schedule, base Timing) error 
 				if err := r.fillRedist(net, rec, task.N); err != nil {
 					return fmt.Errorf("tgrid: edge %d->%d: %w", id, succ, err)
 				}
-				rec.cross = len(rec.act.Usage) > 0
+				rec.cross = len(rec.act.UsedResources()) > 0
 			} else {
 				rec.act.Work = 0
 				rec.act.Delay = 0
@@ -505,7 +503,9 @@ func (r *Replayer) launch(id int) {
 }
 
 // rearm re-arms a recorded parallel task by scaling its CPU usage with the
-// scaler's factor, and reports whether it could.
+// scaler's factor, and reports whether it could. A CPU amount scaled to 0
+// leaves the usage and one scaled back up returns, so the re-armed usage is
+// the one FillPtask builds, which leaves zero flop counts out.
 func (r *Replayer) rearm(rec *replayTask, task *dag.Task, startup float64) bool {
 	if r.scaler == nil || !rec.isPtask {
 		return false
@@ -516,7 +516,7 @@ func (r *Replayer) rearm(rec *replayTask, task *dag.Task, startup float64) bool 
 	}
 	a := &rec.act
 	for k, res := range rec.cpuRes {
-		a.Usage[res] = rec.cpuBase[k] * f
+		a.SetUsage(res, rec.cpuBase[k]*f)
 	}
 	a.Work = 1
 	lat := 0.0

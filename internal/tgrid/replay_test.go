@@ -2,6 +2,7 @@ package tgrid
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dag"
@@ -150,6 +151,64 @@ func TestReplayRebind(t *testing.T) {
 				}
 				if got != want.Makespan {
 					t.Fatalf("round %d %s %s: %v != %v", round, g.Name, algo.Name(), got, want.Makespan)
+				}
+			}
+		}
+	}
+}
+
+// TestReplayZeroTaskFactorMatchesRun covers the zero-drop path of rearm: a
+// task factor of 0 scales every CPU amount to 0, which must leave the usage
+// just as FillPtask leaves a zero flop count out, and a later nonzero
+// factor must bring the amounts back. Each replay equals Run under the same
+// perturbed model, and each re-armed task uses the resources FillPtask
+// gives it.
+func TestReplayZeroTaskFactorMatchesRun(t *testing.T) {
+	c := platform.Bayreuth()
+	base := perfmodel.NewAnalytic(c)
+	cost := perfmodel.CostFunc(base)
+	comm := perfmodel.CommFunc(base, c)
+	net, err := simgrid.NewNet(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := dag.MustGenerate(dag.GenParams{Tasks: 15, InputMatrices: 4, AddRatio: 0.5, N: 2000, Seed: 12})
+	rep := NewReplayer()
+	for _, algo := range []sched.Algorithm{sched.HCPA{}, sched.MCPA{}} {
+		s, err := sched.Build(algo, g, c.Nodes, cost, comm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.Bind(net, s, ModelTiming{Model: base}); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []float64{0, 1.2, 0, 1} {
+			pm, err := perfmodel.NewPerturbed(base, perfmodel.Perturbation{TaskFactor: f, StartupFactor: 1, RedistFactor: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Run(net, s, ModelTiming{Model: pm})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rep.Replay(net, ScaledTiming{Model: pm})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want.Makespan {
+				t.Fatalf("%s task factor %g: replay %v != run %v", algo.Name(), f, got, want.Makespan)
+			}
+			// The re-armed usage is the one FillPtask builds under the
+			// perturbed model.
+			for id := range rep.tasks {
+				rec := &rep.tasks[id]
+				if !rec.isPtask {
+					continue
+				}
+				_, comp, bytes := ModelTiming{Model: pm}.TaskWork(g.Task(id), rec.hosts)
+				fresh := net.Ptask("fresh", rec.hosts, comp, bytes)
+				if gotRes, wantRes := rec.act.UsedResources(), fresh.UsedResources(); !slices.Equal(gotRes, wantRes) {
+					t.Fatalf("%s task factor %g: task %d uses %v, FillPtask %v", algo.Name(), f, id, gotRes, wantRes)
 				}
 			}
 		}
